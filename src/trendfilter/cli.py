@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -292,7 +293,9 @@ def cmd_irrep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     p = argparse.ArgumentParser(prog="trendfilter",
                                 description="L1 trend filtering: fit, tune, simulate, certify.")
     p.add_argument("--version", action="version", version=f"trendfilter {__version__}")

@@ -9,8 +9,9 @@ Two designs appear throughout:
   starting at row j. ``Z @ b`` reconstructs the mean vector from
   (level, first slope, slope changes).
 
-Both expose matrix-free products; dense materialization is allowed at desk
-scale only.
+Both expose matrix-free products in O(n); ``DesignZ`` also gives any block of
+its Gram matrix in closed form. Dense materialization is for desk-scale
+diagnostics and reference tests only.
 """
 
 from __future__ import annotations
@@ -100,9 +101,12 @@ class DesignZ:
         b = np.asarray(b, dtype=float)
         if b.size != self.n:
             raise InvalidDimensionError(f"expected length {self.n}, got {b.size}")
-        # mu_t = b_1 + sum_{j<=t} (t-j+1) b_j over j >= 2: a double prefix sum.
-        out = np.cumsum(np.cumsum(b))
-        out -= np.arange(self.n) * b[0]
+        # mu_t = b_1 + (t-1) b_2 + a double prefix sum of the slope changes alone,
+        # so a large level b_1 never enters (and cancels in) a cumulative sum.
+        out = np.full(self.n, b[0])
+        if self.n >= 2:
+            out += b[1] * np.arange(self.n)
+            out[2:] += np.cumsum(np.cumsum(b[2:]))
         return out
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
@@ -135,6 +139,21 @@ class DesignZ:
         m = np.arange(n - 1, 0, -1, dtype=float)  # n-j+1 for j=2..n
         out[1:] = m * (m + 1) * (2 * m + 1) / 6.0
         return out
+
+    def gram(self, cols) -> np.ndarray:
+        """Z_S' Z_S in closed form for 0-based columns S; the diagonal is
+        :meth:`column_norms_sq`. Column j >= 1 is the ramp 1..L_j (L_j = n - j)
+        from row j, so z_i'z_j = sum_{a<=L_j} a (a + j - i) for i <= j, and the
+        ones column meets ramp j in L_j (L_j + 1) / 2."""
+        c = np.asarray(cols, dtype=float)
+        lo, hi = np.minimum.outer(c, c), np.maximum.outer(c, c)
+        L = self.n - hi
+        s1 = L * (L + 1) / 2.0
+        G = L * (L + 1) * (2 * L + 1) / 6.0 + (hi - lo) * s1
+        const = lo == 0
+        G[const] = s1[const]
+        G[const & (hi == 0)] = float(self.n)
+        return G
 
     def dense(self) -> np.ndarray:
         if self.n > DENSE_LIMIT:

@@ -1,9 +1,10 @@
 """CSV interchange: series input, fit/score/experiment output.
 
 Series input is one numeric column, or two columns (index, value) of which the
-second is used; a non-numeric first row is treated as a header. All output is
-RFC-4180-style CSV, UTF-8, decimal point, preceded by ``#``-prefixed metadata
-lines (tool version and argument echo) so every artifact is self-describing.
+second is used; blank and ``#`` lines are skipped, and a non-numeric first row
+after them is a header. All output is RFC-4180-style CSV, UTF-8, decimal point,
+preceded by ``#``-prefixed metadata lines (tool version and argument echo) so
+every artifact is self-describing.
 Floats are written with repr-level precision for byte-stable reruns.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import math
+import os
+import stat
 from dataclasses import asdict
 
 from . import __version__
@@ -40,7 +43,7 @@ def _fmt(x) -> str:
 
 def read_series(path) -> TimeSeries:
     """Parse a one- or two-column CSV into a TimeSeries."""
-    values = []
+    values, rows = [], 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -50,11 +53,12 @@ def read_series(path) -> TimeSeries:
             if len(cells) > 2:
                 raise SeriesParseError(f"expected 1 or 2 columns, got {len(cells)}", lineno)
             cell = cells[-1]
+            rows += 1
             try:
                 values.append(float(cell))
             except ValueError:
-                if lineno == 1 or (lineno == 2 and not values):
-                    continue  # header row
+                if rows == 1:
+                    continue  # header row: the first one that is neither blank nor a comment
                 raise SeriesParseError(f"not a number: {cell!r}", lineno) from None
     if not values:
         raise SeriesParseError("no numeric rows found", 1)
@@ -182,5 +186,11 @@ def write_experiment_metadata(path, result: ExperimentResult, args_echo: str = "
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # Overwrite in place and cut the tail, rather than open with O_TRUNC: on
+    # ext4, truncating a non-empty file to zero and rewriting it makes close()
+    # start writeback of the new data, a disk round trip per output file.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()

@@ -6,6 +6,10 @@ reconstruction design Z and the l1 penalty on columns 3..n only:
 
     0.5 * ||y - Z beta||^2 + lam * sum_{j>=3} |beta_j|
 
+The route is matrix-free, in O(n) memory and with no size cap: a coordinate
+step reads column j as a contiguous ramp, ``Z beta`` and ``Z'y`` are double
+cumulative sums, and the active-set solve takes its Gram block in closed form.
+
 ``cd_fit`` is plain cyclic coordinate descent: the unpenalized pair (1, 2) by
 an exact least-squares step, each penalized coordinate by soft-thresholding at
 lam / ||z_j||^2. ``active_set_polish`` refines a fit by solving the
@@ -21,66 +25,62 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LambdaPath, PathEntry, TimeSeries, TrendFit
+from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
 from .design import DesignZ
 from .kkt import check_kkt
 
 
 class LassoProblem:
-    """Problem description; caches the dense design and its column norms."""
+    """Problem description with the O(n) pieces every sweep reuses: the column
+    norms, the Gram block of the unpenalized pair, and the ramp 0, 1, ..., n-1."""
 
-    def __init__(self, y, lam: float, _cache=None):
+    def __init__(self, y, lam: float):
         yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
         if lam < 0:
             raise ValueError("lam must be >= 0")
         self.y = yv
         self.lam = float(lam)
         self.Z = DesignZ(yv.size)
-        if _cache is not None:
-            self._dense, self._norms = _cache
-        else:
-            self._dense = self.Z.dense()
-            self._norms = self.Z.column_norms_sq()
+        self._norms = self.Z.column_norms_sq()
+        self._G2 = self.Z.gram([0, 1])
+        self._t = np.arange(yv.size, dtype=float)
 
     @property
     def n(self) -> int:
         return self.y.size
 
-    @property
-    def penalized(self) -> range:
-        """1-based penalized column indices: everything but the affine pair."""
-        return range(3, self.n + 1)
 
-    def cache(self):
-        return self._dense, self._norms
-
-    def at_lambda(self, lam: float) -> "LassoProblem":
-        return LassoProblem(self.y, lam, _cache=self.cache())
+def _sparse_encode(Z: DesignZ, mu: np.ndarray) -> np.ndarray:
+    """beta = Z^-1 mu with numerically-zero slope changes set to exact zeros."""
+    beta = Z.encode(mu)
+    beta[2:][np.abs(beta[2:]) < 1e-12 * (1.0 + float(np.max(np.abs(beta))))] = 0.0
+    return beta
 
 
-def _block_ls_step(Zd, G2, beta, r):
+def _block_ls_step(prob, beta, r):
     """Exact least-squares update of the unpenalized pair (columns 1-2)."""
-    rhs = Zd[:, :2].T @ r + G2 @ beta[:2]
+    t, G2 = prob._t, prob._G2
+    rhs = np.array([r.sum(), t @ r]) + G2 @ beta[:2]
     sol = np.linalg.solve(G2, rhs)
     d = sol - beta[:2]
     if np.any(d != 0.0):
-        r -= Zd[:, :2] @ d
+        r -= d[0] + d[1] * t
         beta[:2] = sol
         return float(np.max(np.abs(d) / (1.0 + np.abs(sol))))
     return 0.0
 
 
-def _cd_pass(prob, beta, r, G2):
+def _cd_pass(prob, beta, r):
     """One cyclic sweep: block step on (1,2), soft-thresholding on 3..n.
 
     Returns (max relative change, number of coordinates entering the support).
     """
-    Zd, nrm, lam = prob._dense, prob._norms, prob.lam
+    nrm, lam, t = prob._norms, prob.lam, prob._t
     n = prob.n
-    maxrel = _block_ls_step(Zd, G2, beta, r)
+    maxrel = _block_ls_step(prob, beta, r)
     admitted = 0
     for j in range(2, n):
-        zj = Zd[j:, j]
+        zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
         bj = beta[j]
         rho = zj @ r[j:] + nrm[j] * bj
         bnew = float(np.sign(rho)) * max(abs(rho) - lam, 0.0) / nrm[j]
@@ -105,69 +105,48 @@ def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    n = prob.n
     if beta_init is not None:
         beta = np.asarray(beta_init, dtype=float).copy()
     elif prob.lam == 0.0:
         beta = prob.Z.encode(prob.y)
     else:
-        beta = np.zeros(n)
-    Zd = prob._dense
-    r = prob.y - Zd @ beta
-    G2 = Zd[:, :2].T @ Zd[:, :2]
+        beta = np.zeros(prob.n)
+    r = prob.y - prob.Z.matvec(beta)
     converged = False
     for _ in range(max_iter):
-        maxrel, _ = _cd_pass(prob, beta, r, G2)
+        maxrel, _ = _cd_pass(prob, beta, r)
         if maxrel <= tol:
             converged = True
             break
-    return TrendFit.from_mu(prob.y, Zd @ beta, prob.lam, converged=converged, solver="lasso")
+    return TrendFit.from_mu(prob.y, prob.Z.matvec(beta), prob.lam, converged=converged,
+                            solver="lasso")
 
 
-def _signed_subproblem(ZtZ, Zty, act, signs, lam):
-    idx = [0, 1] + list(act)
-    A = ZtZ[np.ix_(idx, idx)]
-    rhs = Zty[list(idx)].copy()
-    rhs[2:] -= lam * signs
-    sol = np.linalg.solve(A, rhs)
-    sol += np.linalg.solve(A, rhs - A @ sol)  # one refinement pass
-    return sol
-
-
-def _converge_active(beta, act, ZtZ, Zty, lam):
+def _converge_active(Z, beta, act, Zty, lam):
     """Exactly solve the sign-restricted problem on the active set, walking
-    zero crossings (each drops a coordinate). Mutates beta; returns the set."""
+    zero crossings (each drops a coordinate, with its Gram row and column).
+    Mutates beta, which must be zero off the affine pair and nonzero on ``act``."""
+    idx = np.concatenate(([0, 1], act)).astype(np.intp)
+    G = Z.gram(idx)
     for _ in range(4 * (len(act) + 4)):
-        if act:
-            signs = np.sign(beta[np.array(act)])
-            for ii, j in enumerate(act):
-                if signs[ii] == 0.0:
-                    signs[ii] = np.sign(Zty[j] - ZtZ[j] @ beta)
-        else:
-            signs = np.zeros(0)
-        sol = _signed_subproblem(ZtZ, Zty, act, signs, lam)
-        target = beta.copy()
-        target[0], target[1] = sol[0], sol[1]
-        for ii, j in enumerate(act):
-            target[j] = sol[2 + ii]
-        theta = 1.0
-        drop = -1
-        for ii, j in enumerate(act):
-            b0, b1 = beta[j], target[j]
-            if b0 != 0.0 and (np.sign(b1) != np.sign(b0) or b1 == 0.0):
-                step = b1 - b0
-                if step != 0.0:
-                    tc = -b0 / step
-                    if 0.0 <= tc < theta:
-                        theta, drop = tc, j
-            elif b0 == 0.0 and b1 != 0.0 and np.sign(b1) != signs[ii]:
-                theta, drop = 0.0, j
-        beta += theta * (target - beta)
-        if drop < 0:
-            return act
-        beta[drop] = 0.0
-        act = [j for j in act if beta[j] != 0.0]
-    return act
+        b0 = beta[idx[2:]]
+        signs = np.sign(b0)
+        rhs = Zty[idx]
+        rhs[2:] -= lam * signs
+        sol = np.linalg.solve(G, rhs)
+        sol += np.linalg.solve(G, rhs - G @ sol)  # one refinement pass
+        cross = np.flatnonzero(np.sign(sol[2:]) != signs)
+        tc = -b0[cross] / (sol[2:][cross] - b0[cross])  # step at which each one reaches zero
+        if not tc.size or tc.min() >= 1.0:
+            beta[idx] += sol - beta[idx]
+            return
+        k = int(np.argmin(tc))  # the first crossing; ties go to the lowest column
+        beta[idx] += tc[k] * (sol - beta[idx])
+        beta[idx[2 + cross[k]]] = 0.0
+        keep = beta[idx] != 0.0
+        keep[:2] = True
+        idx = idx[keep]
+        G = G[np.ix_(keep, keep)]
 
 
 def active_set_polish(prob: LassoProblem, fit: TrendFit,
@@ -177,41 +156,31 @@ def active_set_polish(prob: LassoProblem, fit: TrendFit,
     solved exactly rather than by inner coordinate cycling, which the column
     collinearity would stall; the admission sweeps are plain soft-threshold
     passes. The objective never increases, and an already-optimal fit comes
-    back unchanged."""
-    n = prob.n
+    back unchanged. ``converged`` is this polish's own verdict: the fit it
+    starts from only seeds it."""
     lam = prob.lam
     if lam == 0.0:
         return fit
-    Zd = prob._dense
-    beta = prob.Z.encode(fit.mu_hat)
-    beta[2:][np.abs(beta[2:]) < 1e-12 * (1.0 + float(np.max(np.abs(beta))))] = 0.0
-    ZtZ = Zd.T @ Zd
-    Zty = Zd.T @ prob.y
-    G2 = ZtZ[:2, :2]
-    act = [j for j in range(2, n) if beta[j] != 0.0]
+    Z = prob.Z
+    beta = _sparse_encode(Z, fit.mu_hat)
+    Zty = Z.rmatvec(prob.y)
     converged = False
     for _ in range(max_rounds):
-        act = _converge_active(beta, act, ZtZ, Zty, lam)
-        r = prob.y - Zd @ beta
-        maxrel, admitted = _cd_pass(prob, beta, r, G2)
-        act = [j for j in range(2, n) if beta[j] != 0.0]
+        _converge_active(Z, beta, np.flatnonzero(beta[2:]) + 2, Zty, lam)
+        r = prob.y - Z.matvec(beta)
+        maxrel, admitted = _cd_pass(prob, beta, r)
         if admitted == 0 and maxrel <= tol:
             converged = True
             break
-    return TrendFit.from_mu(prob.y, Zd @ beta, lam,
-                            converged=converged and fit.converged, solver="lasso")
+    return TrendFit.from_mu(prob.y, Z.matvec(beta), lam, converged=converged, solver="lasso")
 
 
-def fit(y, lam: float, tol: float = 1e-9, polish: bool = True,
-        prob: LassoProblem | None = None) -> TrendFit:
-    """cd_fit seeded cheaply, then (by default) active-set polishing."""
-    if prob is None:
-        prob = LassoProblem(y, lam)
+def fit(y, lam: float, tol: float = 1e-9) -> TrendFit:
+    """cd_fit seeded cheaply, then active-set polishing."""
+    prob = LassoProblem(y, lam)
     if lam == 0.0:
         return cd_fit(prob, tol=tol)
     base = cd_fit(prob, tol=max(tol, 1e-4), max_iter=30)
-    if not polish:
-        return cd_fit(prob, beta_init=prob.Z.encode(base.mu_hat), tol=tol)
     return active_set_polish(prob, base, tol=min(tol, 1e-9))
 
 
@@ -229,30 +198,22 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6,
     and will generally not pass. Use :func:`fit_path` for certified fits.
     """
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    grid = [float(l) for l in lambda_grid]
-    if not grid:
-        raise ValueError("empty lambda grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly increasing")
-    if grid[0] < 0:
-        raise ValueError("lambda values must be >= 0")
-    base = LassoProblem(yv, 0.0)
-    beta = base.Z.encode(yv)
+    grid = validate_grid(lambda_grid)
+    beta = DesignZ(yv.size).encode(yv)
     entries = []
     warm = False
     for lam in grid:
+        prob = LassoProblem(yv, lam)
         if lam == 0.0:
-            fit_l = cd_fit(base, tol=tol)
+            fit_l = cd_fit(prob, tol=tol)
         else:
-            prob = base.at_lambda(lam)
-            r = yv - prob._dense @ beta
-            G2 = prob._dense[:, :2].T @ prob._dense[:, :2]
+            r = yv - prob.Z.matvec(beta)
             for _ in range(sweeps_per_rung):
-                maxrel, _ = _cd_pass(prob, beta, r, G2)
+                maxrel, _ = _cd_pass(prob, beta, r)
                 if maxrel <= tol:
                     break
             ok = bool(np.all(np.isfinite(beta)))
-            fit_l = TrendFit.from_mu(yv, prob._dense @ beta, lam, converged=ok,
+            fit_l = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, converged=ok,
                                      solver="lasso-budget")
         report = check_kkt(yv, fit_l.mu_hat, lam, tol=kkt_tol)
         entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
@@ -265,27 +226,19 @@ def fit_path(y, lambda_grid, tol: float = 1e-9, kkt_tol: float = 1e-6) -> Lambda
     warm starts (standard homotopy efficiency), reversed on output. The
     minimizer at each lambda is unique, so ordering is a speed detail only."""
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    grid = [float(l) for l in lambda_grid]
-    if not grid:
-        raise ValueError("empty lambda grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly increasing")
-    if grid[0] < 0:
-        raise ValueError("lambda values must be >= 0")
-    base = LassoProblem(yv, 0.0)
+    grid = validate_grid(lambda_grid)
     fits: dict[float, tuple[TrendFit, bool]] = {}
     beta = np.zeros(yv.size)
     first = True
     for lam in reversed(grid):
+        prob = LassoProblem(yv, lam)
         if lam == 0.0:
-            fits[lam] = (cd_fit(base, tol=tol), False)  # exact encoding start, not a warm start
+            fits[lam] = (cd_fit(prob, tol=tol), False)  # exact encoding start, not a warm start
             continue
-        prob = base.at_lambda(lam)
-        seed = TrendFit.from_mu(yv, prob._dense @ beta, lam, solver="lasso")
+        seed = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, solver="lasso")
         fit_l = active_set_polish(prob, seed, tol=tol)
         fits[lam] = (fit_l, not first)
-        beta = prob.Z.encode(fit_l.mu_hat)
-        beta[2:][np.abs(beta[2:]) < 1e-12 * (1.0 + float(np.max(np.abs(beta))))] = 0.0
+        beta = _sparse_encode(prob.Z, fit_l.mu_hat)
         first = False
     entries = []
     for lam in grid:

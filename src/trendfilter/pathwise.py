@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LambdaPath, PathEntry, TimeSeries, TrendFit
+from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
 from .kkt import check_kkt, lambda_max
 
 # Ignore coordinate moves below this relative size: they are floating-point
@@ -473,13 +473,7 @@ def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, max_sweeps: int | None = 
     path continues. Every emitted fit carries its KKT certificate.
     """
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    grid = [float(l) for l in lambda_grid]
-    if not grid:
-        raise ValueError("empty lambda grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly increasing")
-    if grid[0] < 0:
-        raise ValueError("lambda values must be >= 0")
+    grid = validate_grid(lambda_grid)
     if max_sweeps is None:
         max_sweeps = 10 * yv.size
     state = FusedState.interpolation(yv)

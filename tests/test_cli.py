@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trendfilter.cli import main
+from trendfilter.io import read_series
 from trendfilter.kkt import affine_fit, lambda_max
 from trendfilter.simulate import PiecewiseLinearSpec, gen_trend
 
@@ -102,6 +103,34 @@ class TestFit:
         assert main(["fit", "--input", str(p), "--lambda-rel", "0.3",
                      "--solver", "lasso", "--output", str(out)]) == 0
 
+    def test_lasso_fit_converges_and_certifies(self, tmp_path):
+        # a noisy short series whose lasso fit used to be flagged non-converged (exit 3)
+        from trendfilter.simulate import NoiseSpec, add_noise, example2
+        y = add_noise(gen_trend(example2(n=60)), NoiseSpec(snr=25.0, seed=1)).y
+        p = tmp_path / "noisy.csv"
+        _write_series(p, y)
+        out = tmp_path / "fit.csv"
+        lam = 0.1 * lambda_max(y)
+        assert main(["fit", "--input", str(p), "--lambda", repr(lam), "--solver", "lasso",
+                     "--output", str(out)]) == 0
+        assert main(["check", "--input", str(p), "--fit", str(out), "--lambda", repr(lam),
+                     "--output", str(tmp_path / "kkt.csv")]) == 0
+
+    def test_header_after_metadata_lines(self, tmp_path, noisy_line):
+        # the form the tool writes: '#' metadata lines, then a header row
+        _, y = noisy_line
+        p = tmp_path / "meta.csv"
+        p.write_text("# generator=x\n# args=y\nvalue\n" + "".join(f"{float(v)!r}\n" for v in y))
+        assert np.array_equal(read_series(p).y, y)
+        assert main(["fit", "--input", str(p), "--lambda", "1",
+                     "--output", str(tmp_path / "fit.csv")]) == 0
+
+    def test_second_text_row_is_not_a_header(self, tmp_path, capsys):
+        p = tmp_path / "two_headers.csv"
+        p.write_text("# note\nvalue\nunits\n1.0\n2.0\n3.0\n4.0\n5.0\n")
+        assert main(["fit", "--input", str(p), "--lambda", "1"]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_bad_row_reports_line(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1.0\n2.0\noops\n4.0\n5.0\n")
@@ -147,6 +176,16 @@ class TestPathAndSelect:
         b1 = out1.read_bytes().replace(b"a.csv", b"X.csv")
         b2 = out2.read_bytes().replace(b"b.csv", b"X.csv")
         assert b1 == b2
+
+    def test_rewrite_cuts_longer_old_file(self, tmp_path, noisy_line):
+        p, _ = noisy_line
+        out = tmp_path / "fit.csv"
+        argv = ["fit", "--input", str(p), "--lambda", "1.0", "--output", str(out)]
+        main(argv)
+        fresh = out.read_bytes()
+        out.write_bytes(b"x" * (3 * len(fresh)))
+        main(argv)
+        assert out.read_bytes() == fresh
 
     def test_select_emits_fit(self, tmp_path, tent_series):
         p, y, spec = tent_series

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -76,6 +79,32 @@ class TestDesignZ:
         Z = build_design_Z(15)
         D = Z.dense()
         assert np.allclose(Z.column_norms_sq(), (D * D).sum(axis=0))
+
+    @pytest.mark.parametrize("n", [3, 10, 37])
+    def test_gram_blocks_closed_form(self, n, rng):
+        Z = build_design_Z(n)
+        D = Z.dense()
+        full = D.T @ D
+        assert np.array_equal(Z.gram(np.arange(n)), full)
+        assert np.array_equal(np.diag(Z.gram(np.arange(n))), Z.column_norms_sq())
+        for _ in range(5):
+            cols = np.concatenate(([0, 1], rng.choice(np.arange(2, n), size=n // 3, replace=False)))
+            rng.shuffle(cols)
+            assert np.array_equal(Z.gram(cols), full[np.ix_(cols, cols)])
+
+    def test_matvec_exact_at_a_large_level(self, rng):
+        # Z b for the encoding b of a series at level 1e6, against the exact
+        # rational value: the level must not pass through the cumulative sums
+        # of the slope changes, where it would cost about 1e-12 relative
+        n = 1000
+        t = np.arange(n, dtype=float)
+        mu = 1e6 + 0.5 * t - 2e-3 * np.maximum(t - 400, 0.0) + rng.normal(0.0, 1.0, n)
+        Z = build_design_Z(n)
+        b = Z.encode(mu)
+        q = [Fraction(float(v)) for v in b]
+        ramps = [Fraction(0), Fraction(0)] + list(accumulate(accumulate(q[2:])))
+        exact = np.array([float(q[0] + q[1] * k + ramps[k]) for k in range(n)])
+        assert np.max(np.abs(Z.matvec(b) - exact)) <= 1e-14 * np.max(np.abs(exact))
 
     @given(st.lists(finite_floats, min_size=3, max_size=40))
     def test_encode_decode_roundtrip(self, mu):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trendfilter.core import objective_value
-from trendfilter.design import second_diff
+from trendfilter.design import DesignZ, InvalidDimensionError, second_diff
 from trendfilter.kkt import affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter.lasso import LassoProblem, active_set_polish, cd_fit, fit, fit_path
 from tests.conftest import random_walk
@@ -44,10 +44,9 @@ class TestKktAtConvergence:
         # soft-threshold stationarity per coordinate, straight from the columns
         y = random_walk(rng, 35)
         lam = lambda_max(y) / 5
-        prob = LassoProblem(y, lam)
         res = fit(y, lam, tol=1e-10)
-        beta = prob.Z.encode(res.mu_hat)
-        Zd = prob._dense
+        beta = DesignZ(35).encode(res.mu_hat)
+        Zd = DesignZ(35).dense()
         grad = Zd.T @ (y - Zd @ beta)
         slack = 1e-6 * max(1.0, lam)
         for j in range(2):
@@ -101,6 +100,13 @@ class TestActiveSetPolish:
         slow = cd_fit(prob, beta_init=prob.Z.encode(polished.mu_hat), tol=1e-14, max_iter=200)
         assert np.max(np.abs(polished.mu_hat - slow.mu_hat)) <= 1e-8 * (1 + np.max(np.abs(y)))
 
+    def test_fit_reports_the_polish_verdict(self, rng):
+        y = random_walk(rng, 60)
+        lam = lambda_max(y) / 10
+        res = fit(y, lam, tol=1e-8)
+        assert res.converged
+        assert check_kkt(y, res.mu_hat, lam).passed
+
 
 class TestLassoPath:
     def test_path_certified_and_warm_flags(self, rng):
@@ -115,6 +121,17 @@ class TestLassoPath:
         assert all(e.warm_start for e in path.entries[1:-1])
         for e in path.entries:
             assert e.kkt.passed
+
+    def test_beyond_the_dense_limit(self):
+        # the route is matrix-free: a series longer than the dense cap is fit and certified
+        from trendfilter.simulate import NoiseSpec, add_noise, example2, gen_trend
+        n = 2050
+        y = add_noise(gen_trend(example2(n=n)), NoiseSpec(snr=400.0, seed=1)).y
+        with pytest.raises(InvalidDimensionError):
+            DesignZ(n).dense()
+        lmax = lambda_max(y)
+        path = fit_path(y, [lmax * f for f in (0.3, 0.5, 0.7, 1.0)])
+        assert all(e.kkt.passed for e in path.entries)
 
     def test_grid_validation(self, rng):
         y = random_walk(rng, 10)
