@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("irrep", help="irrepresentable-condition report")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--kinks", default=None, help="comma-separated kink columns in 3..n")
-    sp.add_argument("--signs", default=None, help="comma-separated signs (+-1) for Z1 columns")
+    sp.add_argument("--signs", default=None, help="comma-separated signs (+-1) for Z1 columns; "
+                    "0 allowed for the affine pair (the first two)")
     sp.add_argument("--paper-example", action="store_true", dest="paper_example",
                     help="built-in n=10, kink column 5, all four sign cases")
     sp.add_argument("--output", default=None)

@@ -225,15 +225,18 @@ def irrepresentable_vectors(n: int, kink_columns) -> IrrepSystem:
 def irrepresentable_holds(M: np.ndarray, s1) -> tuple[bool, list[tuple[int, float]]]:
     """Strict componentwise test |M @ s1| < 1.
 
-    Returns (holds, violations); each violation is (0-based row of M, value).
-    Equality |value| = 1 counts as a violation.
+    s1 holds one sign per retained column: the affine pair first, then the
+    kinks. The affine pair may also take 0, its sign in the objective the
+    solvers minimise, where that pair is unpenalised; every kink entry is -1
+    or +1. Returns (holds, violations); each violation is (0-based row of M,
+    value). Equality |value| = 1 counts as a violation.
     """
     M = np.asarray(M, dtype=float)
     s1 = np.asarray(s1, dtype=float)
     if s1.ndim != 1 or M.ndim != 2 or M.shape[1] != s1.size:
         raise InvalidDimensionError(f"shape mismatch: M {M.shape} vs s1 {s1.shape}")
-    if not np.all(np.isin(s1, (-1.0, 1.0))):
-        raise ValueError("s1 entries must be -1 or +1")
+    if not (np.all(np.isin(s1[:2], (-1.0, 0.0, 1.0))) and np.all(np.isin(s1[2:], (-1.0, 1.0)))):
+        raise ValueError("s1 entries must be -1 or +1 (or 0 for the affine pair)")
     v = M @ s1
     bad = [(int(i), float(v[i])) for i in np.flatnonzero(np.abs(v) >= 1.0 - 1e-12)]
     return (len(bad) == 0), bad

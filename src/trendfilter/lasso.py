@@ -27,7 +27,9 @@ import numpy as np
 
 from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
 from .design import DesignZ
-from .kkt import check_kkt
+from .kkt import check_kkt, lambda_max
+
+LADDER_POINTS = 8  # rungs of a single fit's homotopy, lam to lambda_max inclusive
 
 
 class LassoProblem:
@@ -176,16 +178,15 @@ def active_set_polish(prob: LassoProblem, fit: TrendFit,
 
 
 def fit(y, lam: float, tol: float = 1e-9) -> TrendFit:
-    """cd_fit seeded cheaply, then active-set polishing."""
-    prob = LassoProblem(y, lam)
-    if lam == 0.0:
-        return cd_fit(prob, tol=tol)
-    base = cd_fit(prob, tol=max(tol, 1e-4), max_iter=30)
-    return active_set_polish(prob, base, tol=min(tol, 1e-9))
+    """The lam entry of :func:`fit_path` on an 8-point geometric ladder from
+    lam up to lambda_max, so the solve is warm-started down from the affine fit."""
+    yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+    lmax = lambda_max(yv)
+    grid = np.geomspace(lam, lmax, LADDER_POINTS) if 0.0 < lam < lmax else [lam]
+    return fit_path(yv, grid, tol=min(tol, 1e-9)).entries[0].fit
 
 
-def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6,
-                kkt_tol: float = 1e-6) -> LambdaPath:
+def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) -> LambdaPath:
     """Fixed-budget practical route: ascend the grid from the exact interpolant
     encoding, running at most ``sweeps_per_rung`` cyclic sweeps per rung.
 
@@ -215,13 +216,13 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6,
             ok = bool(np.all(np.isfinite(beta)))
             fit_l = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, converged=ok,
                                      solver="lasso-budget")
-        report = check_kkt(yv, fit_l.mu_hat, lam, tol=kkt_tol)
+        report = check_kkt(yv, fit_l.mu_hat, lam)
         entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
         warm = True
     return LambdaPath(entries=tuple(entries))
 
 
-def fit_path(y, lambda_grid, tol: float = 1e-9, kkt_tol: float = 1e-6) -> LambdaPath:
+def fit_path(y, lambda_grid, tol: float = 1e-9) -> LambdaPath:
     """Fits for an increasing grid; solved internally in descending order with
     warm starts (standard homotopy efficiency), reversed on output. The
     minimizer at each lambda is unique, so ordering is a speed detail only."""
@@ -243,6 +244,6 @@ def fit_path(y, lambda_grid, tol: float = 1e-9, kkt_tol: float = 1e-6) -> Lambda
     entries = []
     for lam in grid:
         fit_l, warm = fits[lam]
-        report = check_kkt(yv, fit_l.mu_hat, lam, tol=kkt_tol)
+        report = check_kkt(yv, fit_l.mu_hat, lam)
         entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
     return LambdaPath(entries=tuple(entries))

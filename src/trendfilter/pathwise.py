@@ -6,25 +6,24 @@ Works on nu (nu_1 = mu_1, nu_t = mu_t - mu_{t-1}), where the objective is
 
 with X the cumulative-sum design. The solver follows a penalty continuation:
 start from the exact lam = 0 solution (nu = first differences of y) and climb
-the lambda ladder, at each level alternating
+the lambda ladder, warm-starting each level from the last. At each level it
+repeats three moves until a round moves nothing:
 
 * a descent cycle: exact 1-d minimization coordinate by coordinate, where the
   1-d profile is a quadratic plus at most two hinge terms at the neighbouring
   slope values;
-* a fusion cycle: joint moves of contiguous runs of equal slopes -- re-solving
-  an existing run's common value and absorbing a run into its left neighbour
-  (suffix sizes growing until the full preceding run is covered).
-
-Two guarded accelerators keep the certificates tight at realistic sizes (plain
-cycles converge too slowly once coordinates couple strongly):
-
-* a structure polish that solves the run values exactly for the current fused
-  pattern with frozen boundary signs, walking sign collisions (each collision
-  merges two runs) -- every accepted step is verified to not increase f;
+* a structure polish that solves every run value jointly and exactly for the
+  current pattern of equal-slope runs with frozen boundary signs (one
+  tridiagonal solve, O(G) for G runs), walking sign collisions (each
+  collision merges two runs) -- the assembled step is kept only if it does
+  not increase f;
 * a split scan that reads the residual subgradient and attempts a sub-run
   joint move exactly where its unit bound is violated inside a run.
 
-The KKT certificate (kkt module) independently validates every emitted fit.
+A single fit is the last entry of a path on its own continuation ladder, so
+every emitted fit comes from the same loop and carries the KKT certificate
+(kkt module); ``converged`` means the loop met its sweep rule and the
+certificate passed.
 """
 
 from __future__ import annotations
@@ -42,16 +41,15 @@ DEADBAND = 1e-15
 
 _ACCEPT_SLACK = 1e-12  # relative slack when testing "objective does not increase"
 
+SWEEPS_PER_POINT = 10  # a level's round cap is this times n
+LADDER_START = 1e-3    # a single fit's ladder starts at this share of its penalty
+LADDER_RATIO = 2.5     # and grows by this factor per rung
+
 
 @dataclass
 class PathwiseOptions:
     sweep_tol: float = 1e-10
-    max_sweeps: int | None = None      # default 10 * n
-    continuation_ratio: float = 2.5    # lambda ladder growth for single fits
-    continuation_tol: float = 1e-8     # tolerance at intermediate ladder rungs
-    continuation_sweeps: int = 30      # sweep cap at intermediate rungs
-    kkt_tol: float = 1e-6              # certificate tolerance recorded on paths
-    validate: bool = False             # assert objective monotonicity per cycle
+    validate: bool = False             # assert objective monotonicity per round
 
 
 @dataclass
@@ -231,112 +229,68 @@ def _descent_sweep(y, nu, r, lam, reverse=False):
     return maxrel
 
 
-def _fusion_sweep(y, nu, r, lam):
-    """Left-to-right fusion pass: re-solve each run's common value, then try to
-    absorb the run into its left neighbour with the enforced span growing one
-    coordinate at a time until it covers the full preceding run.
-
-    Returns (max relative change, count of structural merges), where a merge
-    is structural only if it closed a value gap above floating-point jitter.
-    """
-    maxrel = 0.0
-    structural = 0
-    runs = _runs_of(nu)
-    ri = 0
-    while ri < len(runs):
-        a, b = runs[ri]
-        if b > a:
-            acc, rel, _ = _try_fuse(y, nu, r, lam, a, b)
-            if acc:
-                maxrel = max(maxrel, rel)
-        accepted = False
-        if ri > 0:
-            pa, pb = runs[ri - 1]
-            gap = abs(nu[pb] - nu[a])
-            if nu[pb] != nu[a]:
-                for s in range(pb, pa - 1, -1):
-                    acc, rel, _ = _try_fuse(y, nu, r, lam, s, b)
-                    if acc:
-                        maxrel = max(maxrel, rel)
-                        accepted = True
-                        if gap > 1e-12 * (1.0 + abs(nu[a])):
-                            structural += 1
-                        break
-        if accepted:
-            runs = _runs_of(nu)
-            ri = next(i for i, (x0, x1) in enumerate(runs) if x0 <= b <= x1) + 1
-        else:
-            ri += 1
-    return maxrel, structural
+def _tridiag_solve(off, diag, rhs):
+    """Thomas algorithm for a symmetric tridiagonal system; off[k] couples
+    unknowns k and k + 1. Stable here: the matrix is diagonally dominant."""
+    off, diag, rhs = off.tolist(), diag.tolist(), rhs.tolist()
+    G = len(diag)
+    cp, dp = [0.0] * G, [0.0] * G
+    m = diag[0]
+    dp[0] = rhs[0] / m
+    for i in range(1, G):
+        cp[i - 1] = off[i - 1] / m
+        m = diag[i] - off[i - 1] * cp[i - 1]
+        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / m
+    x = dp
+    for i in range(G - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return np.array(x)
 
 
-def _grouped_runs(nu, tol):
-    """Run partition that also bridges sub-jitter jumps (for the polish only)."""
-    n = nu.size
-    scale = 1.0 + float(np.max(np.abs(nu)))
-    runs = []
-    s = 0
-    for i in range(1, n):
-        if abs(nu[i] - nu[i - 1]) > tol * scale:
-            runs.append((s, i - 1))
-            s = i
-    runs.append((s, n - 1))
-    return runs
+def _run_values(a, b, cs_y, cs_ty, h, lam):
+    """Run values minimising the objective for runs [a_g, b_g] with the
+    boundary subgradients h frozen.
+
+    Solved in knot form: on run g, mu interpolates linearly from v_{g-1} (0
+    before the first run) to v_g, its value at the run's end, so the normal
+    equations in v are tridiagonal, O(G) in time and memory, and well
+    conditioned, where those in the run values themselves are dense."""
+    L = (b - a + 1).astype(float)
+    sy = cs_y[b + 1] - cs_y[a]
+    wy = (cs_ty[b + 1] - cs_ty[a] - a * sy) / L  # sum of y_t (t - a + 1) / L over the run
+    # with weights w = k / L (k = 1..L) on each run: v_g gathers sum w^2 over
+    # run g and sum (1 - w)^2 over run g + 1, and v_g, v_{g+1} share sum w (1 - w)
+    diag = (L + 1) * (2 * L + 1) / (6 * L)
+    diag[:-1] += (L[1:] - 1) * (2 * L[1:] - 1) / (6 * L[1:])
+    hl = lam * h / L  # the penalty's gradient in v: alpha_g = (v_g - v_{g-1}) / L_g
+    rhs = wy - hl
+    rhs[:-1] += sy[1:] - wy[1:] + hl[1:]
+    v = _tridiag_solve((L[1:] ** 2 - 1) / (6 * L[1:]), diag, rhs)
+    return np.diff(v, prepend=0.0) / L
 
 
-def _run_gram(runs, n):
-    """Gram matrix of run-indicator prefix columns, closed form, O(G^2)."""
-    G = len(runs)
-    L = np.array([b - a + 1 for a, b in runs], dtype=float)
-    e = np.array([b for _, b in runs], dtype=float)
-    tail = n - 1 - e
-    colsum = L * (L + 1) / 2 + tail * L
-    diag = L * (L + 1) * (2 * L + 1) / 6 + tail * L ** 2
-    upper = np.triu(np.outer(L, colsum), 1)  # [g,h] = L_g * colsum_h for g < h
-    A = upper + upper.T
-    np.fill_diagonal(A, diag)
-    return A
-
-
-def _run_rhs(runs, y):
-    """W' y for the same columns: ramp over the run plus length * suffix sum."""
-    n = y.size
-    suf = np.concatenate([np.cumsum(y[::-1])[::-1], [0.0]])
-    cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
-    cs_y = np.concatenate([[0.0], np.cumsum(y)])
-    out = np.empty(len(runs))
-    for g, (a, b) in enumerate(runs):
-        ramp = (cs_ty[b + 1] - cs_ty[a]) - a * (cs_y[b + 1] - cs_y[a])
-        out[g] = ramp + (b - a + 1) * suf[b + 1]
-    return out
-
-
-def _structure_polish(y, nu, r, lam, group_tol=1e-10):
+def _structure_polish(y, nu, r, lam):
     """Exact run-value solve for the current fused pattern with frozen boundary
     signs; walks sign collisions (each merges two runs) until a full step fits.
     The assembled move is accepted only if the true objective does not increase.
     """
     n = y.size
-    runs = _grouped_runs(nu, group_tol)
-    alpha = np.array([nu[a] for a, _ in runs], dtype=float)
-    Wy = _run_rhs(runs, y)
+    runs = _runs_of(nu)
+    a = np.array([s for s, _ in runs])
+    b = np.array([e for _, e in runs])
+    alpha = nu[a]
+    cs_y = np.concatenate([[0.0], np.cumsum(y)])
+    cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
     moved = False
     for _ in range(len(runs) + 8):
-        G = len(runs)
-        pb = [g for g in range(1, G) if runs[g][0] >= 2]
+        G = a.size
+        pb = [g for g in range(1, G) if a[g] >= 2]
         signs = np.array([np.sign(alpha[g] - alpha[g - 1]) for g in pb])
         h = np.zeros(G)
         for g, sg in zip(pb, signs):
             h[g] += sg
             h[g - 1] -= sg
-        A = _run_gram(runs, n)
-        rhs = Wy - lam * h
-        try:
-            astar = np.linalg.solve(A, rhs)
-            astar += np.linalg.solve(A, rhs - A @ astar)  # one refinement pass
-        except np.linalg.LinAlgError:
-            break
-        d = astar - alpha
+        d = _run_values(a, b, cs_y, cs_ty, h, lam) - alpha
         if not np.all(np.isfinite(d)):
             break
         theta = 1.0
@@ -353,17 +307,12 @@ def _structure_polish(y, nu, r, lam, group_tol=1e-10):
         moved = True
         if collide < 0:
             break
-        alpha[collide] = alpha[collide - 1]
-        a0 = runs[collide - 1][0]
-        b1 = runs[collide][1]
-        runs = runs[:collide - 1] + [(a0, b1)] + runs[collide + 1:]
-        alpha = np.concatenate([alpha[:collide - 1], [alpha[collide]], alpha[collide + 1:]])
-        Wy = np.concatenate([Wy[:collide - 1], _run_rhs([runs[collide - 1]], y), Wy[collide + 1:]])
+        a = np.delete(a, collide)
+        b = np.delete(b, collide - 1)
+        alpha = np.delete(alpha, collide)
     if not moved:
         return 0.0
-    nu_new = nu.copy()
-    for g, (a, b) in enumerate(runs):
-        nu_new[a:b + 1] = alpha[g]
+    nu_new = np.repeat(alpha, b - a + 1)
     mu_new = np.cumsum(nu_new)
     f_old = _objective(y, np.cumsum(nu), lam)
     f_new = _objective(y, mu_new, lam)
@@ -388,7 +337,8 @@ def _split_scan(y, nu, r, lam, slack=1e-7):
 
     The trigger margin stays an order of magnitude inside the default
     certificate tolerance; a tighter margin would chase sub-certificate
-    boundary noise and merge/split endlessly against the fusion cycle."""
+    boundary noise, and the structure polish would merge each such split
+    again on the next round."""
     n = y.size
     if lam <= 0:
         return 0.0, 0
@@ -411,27 +361,26 @@ def _split_scan(y, nu, r, lam, slack=1e-7):
 
 
 def _solve_at(y, nu, r, lam, sweep_tol, max_sweeps, validate=False):
-    """Alternate descent and fusion cycles (plus the guarded accelerators) at a
-    fixed lambda until a full round moves nothing beyond tolerance.
+    """Repeat rounds of descent, structure polish and split scan at a fixed
+    lambda until a full round moves nothing beyond tolerance and opens no split.
 
     A secondary exit catches numerical stationarity: when the objective has sat
     at its floating-point floor for several rounds and remaining moves are tiny
-    structure flaps at a degenerate boundary, further sweeps cannot improve the
+    structure flaps at a degenerate boundary, further rounds cannot improve the
     iterate even though the primary rule never fires.
     """
     f_prev = _objective(y, np.cumsum(nu), lam)
     stall = 0
     for sweep in range(max_sweeps):
         m1 = _descent_sweep(y, nu, r, lam, reverse=(sweep % 2 == 1))
-        m2, merges = _fusion_sweep(y, nu, r, lam)
-        m3 = _structure_polish(y, nu, r, lam)
-        m4, splits = _split_scan(y, nu, r, lam)
-        moved = max(m1, m2, m3, m4)
-        if moved <= sweep_tol and merges == 0 and splits == 0:
+        m2 = _structure_polish(y, nu, r, lam)
+        m3, splits = _split_scan(y, nu, r, lam)
+        moved = max(m1, m2, m3)
+        if moved <= sweep_tol and splits == 0:
             return sweep + 1, True
         f_now = _objective(y, np.cumsum(nu), lam)
         if validate and f_now > f_prev + 1e-9 * (1.0 + abs(f_prev)):
-            raise AssertionError(f"objective increased within a sweep: {f_prev} -> {f_now}")
+            raise AssertionError(f"objective increased within a round: {f_prev} -> {f_now}")
         if f_prev - f_now <= 1e-14 * (1.0 + abs(f_now)) and moved <= 1e-6:
             stall += 1
             if stall >= 5:
@@ -443,50 +392,39 @@ def _solve_at(y, nu, r, lam, sweep_tol, max_sweeps, validate=False):
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
-    """Solve at a single penalty by climbing a lambda ladder from zero."""
+    """Solve at a single penalty: the last entry of :func:`fit_path` on a
+    ladder that climbs from lam / 1e3 (lambda_max / 1e3 above lambda_max)."""
     opts = opts or PathwiseOptions()
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    state = FusedState.interpolation(yv)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if lam == 0.0:
-        return TrendFit.from_mu(yv, state.mu(), 0.0, converged=True, solver="pathwise")
-    max_sweeps = opts.max_sweeps if opts.max_sweeps is not None else 10 * yv.size
     ladder = []
-    rung = min(lam, lambda_max(yv)) / 1e3
+    rung = min(lam, lambda_max(yv)) * LADDER_START
     while 0 < rung < lam:
         ladder.append(rung)
-        rung *= opts.continuation_ratio
-    for l in ladder:
-        _solve_at(yv, state.nu, state.resid, l, opts.continuation_tol,
-                  opts.continuation_sweeps, validate=opts.validate)
-    _, ok = _solve_at(yv, state.nu, state.resid, lam, opts.sweep_tol, max_sweeps,
-                      validate=opts.validate)
-    return TrendFit.from_mu(yv, state.mu(), lam, converged=ok, solver="pathwise")
+        rung *= LADDER_RATIO
+    return fit_path(yv, ladder + [lam], opts.sweep_tol, opts.validate).entries[-1].fit
 
 
-def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, max_sweeps: int | None = None,
-             kkt_tol: float = 1e-6, validate: bool = False) -> LambdaPath:
+def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, validate: bool = False) -> LambdaPath:
     """Fit every lambda on a strictly increasing grid, warm-starting each from
-    the previous solution; the grid spacing is the continuation step. A rung
-    that exhausts its sweep budget is flagged (fit.converged = False) and the
-    path continues. Every emitted fit carries its KKT certificate.
+    the previous solution; the grid spacing is the continuation step. Every
+    emitted fit carries its KKT certificate, and a fit is flagged
+    converged only when its rung met the sweep rule within 10 * n rounds and
+    the certificate passed; the path continues past a flagged rung.
     """
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
     grid = validate_grid(lambda_grid)
-    if max_sweeps is None:
-        max_sweeps = 10 * yv.size
     state = FusedState.interpolation(yv)
     entries = []
     warm = False
     for lam in grid:
         if lam == 0.0:
-            fit_l = TrendFit.from_mu(yv, yv.copy(), 0.0, converged=True, solver="pathwise")
+            mu, ok = yv.copy(), True
         else:
-            _, ok = _solve_at(yv, state.nu, state.resid, lam, sweep_tol, max_sweeps,
-                              validate=validate)
-            fit_l = TrendFit.from_mu(yv, state.mu(), lam, converged=ok, solver="pathwise")
-        report = check_kkt(yv, fit_l.mu_hat, lam, tol=kkt_tol)
+            _, ok = _solve_at(yv, state.nu, state.resid, lam, sweep_tol,
+                              SWEEPS_PER_POINT * yv.size, validate=validate)
+            mu = state.mu()
+        report = check_kkt(yv, mu, lam)
+        fit_l = TrendFit.from_mu(yv, mu, lam, converged=ok and report.passed, solver="pathwise")
         entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
         warm = True
     return LambdaPath(entries=tuple(entries))

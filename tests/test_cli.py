@@ -291,6 +291,11 @@ class TestIrrep:
         assert main(["irrep", "--n", "10", "--kinks", "5", "--signs", "1,-1,1"]) == 0
         assert "holds=False" in capsys.readouterr().out
 
+    def test_unpenalised_affine_signs(self, capsys):
+        assert main(["irrep", "--n", "10", "--kinks", "5", "--signs", "0,0,1"]) == 0
+        assert "s1=(0, 0, 1): holds=False violating_columns=[6]" in capsys.readouterr().out
+        assert main(["irrep", "--n", "10", "--kinks", "5", "--signs", "0,0,0"]) == 2
+
     def test_out_of_range_kink_exits_2(self):
         assert main(["irrep", "--n", "10", "--kinks", "2"]) == 2
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trendfilter.core import extract_kinks
 from trendfilter.design import (
     InvalidDimensionError,
     InvalidIndexError,
@@ -16,6 +17,7 @@ from trendfilter.design import (
     second_diff,
     spectral_check,
 )
+from trendfilter.simulate import example1, example2, gen_trend
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -200,6 +202,21 @@ class TestIrrepresentable:
         holds, violations = irrepresentable_holds(system.M, s1)
         assert not holds
         assert [system.z2_columns[i] for i, _ in violations] == violating_cols
+
+    @pytest.mark.parametrize("make,n,largest", [(example1, 500, 1.3636), (example2, 1000, 1.0366)])
+    def test_unpenalised_affine_pair(self, make, n, largest):
+        # s1 = [0, 0, s]: the condition of the objective the solvers minimise,
+        # whose largest |value| is criterion 5's true-structure KKT ratio
+        kinks = extract_kinks(gen_trend(make(n=n)))
+        system = irrepresentable_vectors(n, [k + 1 for k in kinks.indices])
+        holds, violations = irrepresentable_holds(system.M, [0, 0, *(kinks.signs[k] for k in kinks.indices)])
+        assert not holds
+        assert max(abs(v) for _, v in violations) == pytest.approx(largest, abs=1e-4)
+
+    @pytest.mark.parametrize("s1", [(1, 1, 0), (0, 0, 0), (2, 1, 1), (1, 0.5, -1)])
+    def test_rejects_bad_signs(self, s1):
+        with pytest.raises(ValueError):
+            irrepresentable_holds(np.zeros((4, 3)), s1)
 
     def test_zero_matrix_holds(self):
         holds, violations = irrepresentable_holds(np.zeros((4, 3)), (1, -1, 1))

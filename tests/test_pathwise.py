@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from trendfilter import pathwise
 from trendfilter.core import extract_kinks, objective_value
-from trendfilter.kkt import affine_fit, lambda_max, oracle_solve
+from trendfilter.kkt import KktReport, affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter.pathwise import (
     FusedState,
     PathwiseOptions,
@@ -10,9 +11,11 @@ from trendfilter.pathwise import (
     fit,
     fit_path,
     fusion_update,
+    _run_values,
     _solve_at,
 )
-from trendfilter.simulate import PiecewiseLinearSpec, gen_trend
+from trendfilter.selection import default_grid
+from trendfilter.simulate import NoiseSpec, PiecewiseLinearSpec, add_noise, example2, gen_trend
 from tests.conftest import random_walk
 
 
@@ -78,7 +81,7 @@ class TestDescentUpdate:
             f = f_new
 
     def test_random_start_sweeps_reach_oracle_objective(self, rng):
-        # alternated descent/fusion cycles from a random start, no continuation
+        # rounds of descent, polish and split scan from a random start, no continuation
         y = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
         lam = 0.5
         mu_star = oracle_solve(y, lam, tol=1e-14 * (1 + y @ y))
@@ -187,6 +190,24 @@ class TestFitPath:
         y = random_walk(rng, 25)
         fit(y, 0.4 * lambda_max(y), PathwiseOptions(validate=True))
 
+    def test_low_noise_path_certified(self):
+        # small splits the split scan opens must survive the structure polish:
+        # bridging them shut left entry 3 here at a defect of 1.1e-4, flagged converged
+        y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=1e4, seed=1)).y
+        path = fit_path(y, default_grid(lambda_max(y)))
+        for i, entry in enumerate(path.entries):
+            assert check_kkt(y, entry.fit.mu_hat, entry.lam).passed, i
+            assert entry.fit.converged, i
+
+    def test_failed_certificate_is_not_converged(self, rng, monkeypatch):
+        y = random_walk(rng, 30)
+        failing = KktReport(max_inactive_ratio=2.0, active_sign_mismatches=0,
+                            stationarity_residual=0.0, passed=False)
+        monkeypatch.setattr(pathwise, "check_kkt", lambda *args, **kwargs: failing)
+        path = fit_path(y, [0.1 * lambda_max(y)])
+        assert not path.entries[0].fit.converged
+        assert not fit(y, 0.1 * lambda_max(y)).converged
+
     def test_grid_validation(self, rng):
         y = random_walk(rng, 10)
         with pytest.raises(ValueError):
@@ -195,6 +216,27 @@ class TestFitPath:
             fit_path(y, [1.0, 1.0])
         with pytest.raises(ValueError):
             fit_path(y, [-1.0, 2.0])
+
+
+class TestRunValues:
+    def test_knot_form_matches_dense_normal_equations(self, rng):
+        # the polish's tridiagonal knot-form solve against the run-value normal
+        # equations W'W alpha = W'y - lam h, W the prefix sums of run indicators
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n - 1)),
+                                      replace=False))
+            a = np.array([0, *cuts])
+            b = np.array([*(cuts - 1), n - 1])
+            y = rng.normal(size=n)
+            h = rng.choice([-1.0, 0.0, 1.0], size=a.size)
+            lam = float(rng.uniform(0.0, 2.0))
+            W = np.cumsum((np.arange(n)[:, None] >= a) & (np.arange(n)[:, None] <= b), axis=0)
+            dense = np.linalg.solve(W.T @ W, W.T @ y - lam * h)
+            cs_y = np.concatenate([[0.0], np.cumsum(y)])
+            cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
+            got = _run_values(a, b, cs_y, cs_ty, h, lam)
+            assert np.allclose(got, dense, rtol=1e-8, atol=1e-8)
 
 
 class TestSolverAgreement:
