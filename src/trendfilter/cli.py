@@ -78,7 +78,7 @@ def _solve_single(y: TimeSeries, lam: float, solver: str, tol: float):
     if solver == "pathwise":
         opts = pathwise.PathwiseOptions(sweep_tol=min(tol, 1e-9))
         return pathwise.fit(y, lam, opts)
-    return lasso.fit(y, lam, tol=min(tol, 1e-8))
+    return lasso.fit(y, lam)
 
 
 def cmd_fit(args) -> int:
@@ -117,8 +117,11 @@ def cmd_path(args) -> int:
     io.write_fit_csv(fit_out, y, fit, extract_kinks(fit, args.tol_kink),
                      args_echo=_args_echo(args))
     print(f"selected lambda={lam_opt:.12g} ({args.criterion}) -> {out}, {fit_out}")
-    if any(not e.fit.converged for e in path.entries):
-        print("warning: some path entries did not converge", file=sys.stderr)
+    stuck = [(i, e) for i, e in enumerate(path.entries) if not e.fit.converged]
+    if stuck:
+        print("warning: some path entries did not converge: " + "; ".join(
+            f"entry {i} lambda={e.lam:.6g} max_inactive_ratio={e.kkt.max_inactive_ratio:.6g}"
+            for i, e in stuck), file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 
@@ -282,11 +285,11 @@ def cmd_irrep(args) -> int:
         system = irrepresentable_vectors(n, kinks)
     except Exception as e:
         raise CliError(str(e)) from e
+    verdicts = [irrepresentable_holds(system.M, s) for s in sign_cases]  # rejects bad signs
     print(f"n={n} retained_columns={list(system.z1_columns)}")
     for row, col in zip(system.M, system.z2_columns):
         print(f"a[col {col:3d}]: " + " ".join(f"{v: .4f}" for v in row))
-    for s in sign_cases:
-        holds, violations = irrepresentable_holds(system.M, s)
+    for s, (holds, violations) in zip(sign_cases, verdicts):
         cols = [system.z2_columns[i] for i, _ in violations]
         vals = " ".join(f"{abs(system.M @ np.array(s, float))[i]:.4f}" for i, _ in violations)
         print(f"s1={s}: holds={holds} violating_columns={cols} |values|={vals}")

@@ -12,13 +12,18 @@ cumulative sums, and the active-set solve takes its Gram block in closed form.
 
 ``cd_fit`` is plain cyclic coordinate descent: the unpenalized pair (1, 2) by
 an exact least-squares step, each penalized coordinate by soft-thresholding at
-lam / ||z_j||^2. ``active_set_polish`` refines a fit by solving the
-sign-restricted subproblem on the nonzero set exactly (with zero-crossing
-line searches), then a full admission sweep, repeating until no coordinate
-enters; adjacent Z columns are so collinear that plain cyclic descent cannot
-reach tight tolerances on its own at realistic n, so the polish is where
-production accuracy comes from. mu_hat = Z beta_hat either way, and every fit
-can be certified by the independent KKT oracle.
+lam / ||z_j||^2. It is O(n^2) a sweep, and ``budget_path`` keeps it for the
+smearing it leaves. ``active_set_polish``, behind ``fit_path`` and ``fit``,
+alternates an exact solve of the sign-restricted subproblem on the nonzero set
+(with zero-crossing line searches) with an admission step: one ``Z'r`` finds
+the inactive coordinates that violate |z_j'r| <= lam, and only those are
+re-tested, largest violation first, and stepped in, so a round is O(n) plus
+O(n) per candidate (the screen-then-check working set of glmnet and the strong
+rules). Adjacent Z
+columns are so collinear that plain cyclic descent cannot reach tight
+tolerances on its own at realistic n, so the polish is where production
+accuracy comes from. mu_hat = Z beta_hat either way, and every fit can be
+certified by the independent KKT oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ from .design import DesignZ
 from .kkt import check_kkt, lambda_max
 
 LADDER_POINTS = 8  # rungs of a single fit's homotopy, lam to lambda_max inclusive
+# A coordinate caught in an admission cycle re-enters only when |z_j'r| exceeds
+# lam by this relative margin, so a subgradient that sits at its bound to within
+# round-off cannot be admitted and dropped again round after round. It is well
+# inside the certificate's 1e-6 and above the round-off of the restricted solve.
+ADMIT_MARGIN = 1e-7
 
 
 class LassoProblem:
@@ -74,13 +84,10 @@ def _block_ls_step(prob, beta, r):
 
 def _cd_pass(prob, beta, r):
     """One cyclic sweep: block step on (1,2), soft-thresholding on 3..n.
-
-    Returns (max relative change, number of coordinates entering the support).
-    """
+    O(n^2). Returns the max relative change."""
     nrm, lam, t = prob._norms, prob.lam, prob._t
     n = prob.n
     maxrel = _block_ls_step(prob, beta, r)
-    admitted = 0
     for j in range(2, n):
         zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
         bj = beta[j]
@@ -88,12 +95,10 @@ def _cd_pass(prob, beta, r):
         bnew = float(np.sign(rho)) * max(abs(rho) - lam, 0.0) / nrm[j]
         d = bnew - bj
         if d != 0.0:
-            if bj == 0.0 and bnew != 0.0:
-                admitted += 1
             r[j:] -= zj * d
             beta[j] = bnew
             maxrel = max(maxrel, abs(d) / (1.0 + abs(bnew)))
-    return maxrel, admitted
+    return maxrel
 
 
 def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
@@ -116,7 +121,7 @@ def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
     r = prob.y - prob.Z.matvec(beta)
     converged = False
     for _ in range(max_iter):
-        maxrel, _ = _cd_pass(prob, beta, r)
+        maxrel = _cd_pass(prob, beta, r)
         if maxrel <= tol:
             converged = True
             break
@@ -151,39 +156,71 @@ def _converge_active(Z, beta, act, Zty, lam):
         G = G[np.ix_(keep, keep)]
 
 
-def active_set_polish(prob: LassoProblem, fit: TrendFit,
-                      tol: float = 1e-10, max_rounds: int = 200) -> TrendFit:
-    """Converge on the current nonzero set, then one full sweep to admit
-    violators; repeat until nothing is admitted. The restricted subproblem is
-    solved exactly rather than by inner coordinate cycling, which the column
-    collinearity would stall; the admission sweeps are plain soft-threshold
-    passes. The objective never increases, and an already-optimal fit comes
-    back unchanged. ``converged`` is this polish's own verdict: the fit it
-    starts from only seeds it."""
+def _admit(prob, beta, r, bound):
+    """Admit every inactive coordinate j >= 3 with |z_j'r| > bound[j]: one
+    ``rmatvec`` finds the candidates in O(n), then each, largest violation
+    first, is re-tested on its O(n - j) tail against the residual the earlier
+    admissions left, and enters by a soft-threshold step from zero. Violators
+    come in bands of collinear neighbours, and stepping in a band's peak first
+    clears most of the rest, which the restricted solve would otherwise have to
+    drop again one zero crossing at a time. Mutates beta and r; returns the
+    admitted columns in the order they entered."""
+    lam, nrm, t, n = prob.lam, prob._norms, prob._t, prob.n
+    g = prob.Z.rmatvec(r)
+    admitted = []
+    cand = np.flatnonzero((np.abs(g[2:]) > bound[2:]) & (beta[2:] == 0.0)) + 2
+    for j in cand[np.argsort(-np.abs(g[cand]), kind="stable")]:
+        zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
+        rho = float(zj @ r[j:])
+        if abs(rho) > bound[j]:
+            beta[j] = np.sign(rho) * (abs(rho) - lam) / nrm[j]
+            r[j:] -= zj * beta[j]
+            admitted.append(j)
+    return np.array(admitted, dtype=np.intp)
+
+
+def active_set_polish(prob: LassoProblem, fit: TrendFit, max_rounds: int = 200) -> TrendFit:
+    """Solve the sign-restricted subproblem on the nonzero set exactly, then
+    admit the KKT violators among the other coordinates; repeat until none is
+    admitted. The exact restricted solve replaces inner coordinate cycling,
+    which the column collinearity would stall, and leaves the KKT test on the
+    inactive coordinates as the only job of an admission round, so a round
+    costs O(n) plus O(n) per candidate. The objective never increases, and an
+    already-optimal fit comes back unchanged. A round that lands on a signed
+    support reached before is therefore a cycle among ties at the bound: the
+    coordinates admitted last need ``ADMIT_MARGIN`` to enter from then on.
+    ``converged`` is this polish's own verdict: the fit it starts from only
+    seeds it."""
     lam = prob.lam
     if lam == 0.0:
         return fit
     Z = prob.Z
     beta = _sparse_encode(Z, fit.mu_hat)
     Zty = Z.rmatvec(prob.y)
+    tied = np.zeros(prob.n, dtype=bool)
+    seen = set()  # signed supports the restricted solve has landed on
+    admitted = np.empty(0, dtype=np.intp)
     converged = False
     for _ in range(max_rounds):
         _converge_active(Z, beta, np.flatnonzero(beta[2:]) + 2, Zty, lam)
-        r = prob.y - Z.matvec(beta)
-        maxrel, admitted = _cd_pass(prob, beta, r)
-        if admitted == 0 and maxrel <= tol:
+        state = np.sign(beta).astype(np.int8).tobytes()
+        if state in seen:  # a cycle: the last admissions were ties at the bound
+            tied[admitted] = True
+        seen.add(state)
+        admitted = _admit(prob, beta, prob.y - Z.matvec(beta), lam * (1.0 + ADMIT_MARGIN * tied))
+        if not admitted.size:
             converged = True
             break
     return TrendFit.from_mu(prob.y, Z.matvec(beta), lam, converged=converged, solver="lasso")
 
 
-def fit(y, lam: float, tol: float = 1e-9) -> TrendFit:
+def fit(y, lam: float) -> TrendFit:
     """The lam entry of :func:`fit_path` on an 8-point geometric ladder from
     lam up to lambda_max, so the solve is warm-started down from the affine fit."""
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
     lmax = lambda_max(yv)
     grid = np.geomspace(lam, lmax, LADDER_POINTS) if 0.0 < lam < lmax else [lam]
-    return fit_path(yv, grid, tol=min(tol, 1e-9)).entries[0].fit
+    return fit_path(yv, grid).entries[0].fit
 
 
 def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) -> LambdaPath:
@@ -210,7 +247,7 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) ->
         else:
             r = yv - prob.Z.matvec(beta)
             for _ in range(sweeps_per_rung):
-                maxrel, _ = _cd_pass(prob, beta, r)
+                maxrel = _cd_pass(prob, beta, r)
                 if maxrel <= tol:
                     break
             ok = bool(np.all(np.isfinite(beta)))
@@ -222,7 +259,7 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) ->
     return LambdaPath(entries=tuple(entries))
 
 
-def fit_path(y, lambda_grid, tol: float = 1e-9) -> LambdaPath:
+def fit_path(y, lambda_grid) -> LambdaPath:
     """Fits for an increasing grid; solved internally in descending order with
     warm starts (standard homotopy efficiency), reversed on output. The
     minimizer at each lambda is unique, so ordering is a speed detail only."""
@@ -234,10 +271,10 @@ def fit_path(y, lambda_grid, tol: float = 1e-9) -> LambdaPath:
     for lam in reversed(grid):
         prob = LassoProblem(yv, lam)
         if lam == 0.0:
-            fits[lam] = (cd_fit(prob, tol=tol), False)  # exact encoding start, not a warm start
+            fits[lam] = (cd_fit(prob, tol=1e-9), False)  # exact encoding start, not a warm start
             continue
         seed = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, solver="lasso")
-        fit_l = active_set_polish(prob, seed, tol=tol)
+        fit_l = active_set_polish(prob, seed)
         fits[lam] = (fit_l, not first)
         beta = _sparse_encode(prob.Z, fit_l.mu_hat)
         first = False

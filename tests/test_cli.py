@@ -196,6 +196,30 @@ class TestPathAndSelect:
         assert header[:3] == ["t", "y", "mu_hat"]
         assert len(rows) == 40
 
+    def test_nonconverged_entries_are_named(self, tmp_path, noisy_line, monkeypatch, capsys):
+        # exit 3 names each unconverged entry with its lambda and certificate margin
+        import dataclasses
+        from trendfilter import cli
+        real = cli.lasso.fit_path
+        seen = {}
+
+        def one_stuck(y, grid):
+            path = real(y, grid)
+            e = path.entries[3]
+            seen["entry"] = e
+            stuck = dataclasses.replace(e, fit=dataclasses.replace(e.fit, converged=False))
+            return dataclasses.replace(path, entries=path.entries[:3] + (stuck,) + path.entries[4:])
+
+        monkeypatch.setattr(cli.lasso, "fit_path", one_stuck)
+        p, _ = noisy_line
+        assert main(["path", "--input", str(p), "--solver", "lasso", "--grid-size", "8",
+                     "--output", str(tmp_path / "scores.csv")]) == 3
+        err = capsys.readouterr().err
+        e = seen["entry"]
+        assert (f"entry 3 lambda={e.lam:.6g} "
+                f"max_inactive_ratio={e.kkt.max_inactive_ratio:.6g}") in err
+        assert err.count("entry ") == 1
+
 
 class TestSimulate:
     def test_preset_smoke_and_metadata(self, tmp_path):
@@ -295,6 +319,12 @@ class TestIrrep:
         assert main(["irrep", "--n", "10", "--kinks", "5", "--signs", "0,0,1"]) == 0
         assert "s1=(0, 0, 1): holds=False violating_columns=[6]" in capsys.readouterr().out
         assert main(["irrep", "--n", "10", "--kinks", "5", "--signs", "0,0,0"]) == 2
+
+    def test_bad_signs_rejected_before_output(self, capsys):
+        assert main(["irrep", "--n", "10", "--kinks", "5", "--signs", "0,0,0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "s1 entries must be -1 or +1" in err
 
     def test_out_of_range_kink_exits_2(self):
         assert main(["irrep", "--n", "10", "--kinks", "2"]) == 2

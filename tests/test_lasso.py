@@ -4,8 +4,14 @@ import pytest
 from trendfilter.core import objective_value
 from trendfilter.design import DesignZ, InvalidDimensionError, second_diff
 from trendfilter.kkt import affine_fit, check_kkt, lambda_max, oracle_solve
-from trendfilter.lasso import LassoProblem, active_set_polish, cd_fit, fit, fit_path
+from trendfilter.lasso import LassoProblem, _admit, active_set_polish, cd_fit, fit, fit_path
+from trendfilter.selection import default_grid
+from trendfilter.simulate import PRESETS, NoiseSpec, add_noise, gen_trend
 from tests.conftest import random_walk
+
+
+def _noisy(shape, n, snr, seed):
+    return add_noise(gen_trend(PRESETS[shape](n=n)), NoiseSpec(snr=snr, seed=seed)).y
 
 
 class TestCdFit:
@@ -44,7 +50,7 @@ class TestKktAtConvergence:
         # soft-threshold stationarity per coordinate, straight from the columns
         y = random_walk(rng, 35)
         lam = lambda_max(y) / 5
-        res = fit(y, lam, tol=1e-10)
+        res = fit(y, lam)
         beta = DesignZ(35).encode(res.mu_hat)
         Zd = DesignZ(35).dense()
         grad = Zd.T @ (y - Zd @ beta)
@@ -75,8 +81,8 @@ class TestActiveSetPolish:
         y = random_walk(rng, 30)
         lam = lambda_max(y) / 4
         prob = LassoProblem(y, lam)
-        res = fit(y, lam, tol=1e-11)
-        polished = active_set_polish(prob, res, tol=1e-11)
+        res = fit(y, lam)
+        polished = active_set_polish(prob, res)
         assert np.max(np.abs(polished.mu_hat - res.mu_hat)) < 1e-9 * (1 + np.max(np.abs(y)))
 
     def test_beyond_lambda_max_affine_support(self, rng):
@@ -96,14 +102,14 @@ class TestActiveSetPolish:
         lam = lambda_max(y) / 50
         prob = LassoProblem(y, lam)
         seeded = cd_fit(prob, tol=1e-4, max_iter=40)
-        polished = active_set_polish(prob, seeded, tol=1e-12)
+        polished = active_set_polish(prob, seeded)
         slow = cd_fit(prob, beta_init=prob.Z.encode(polished.mu_hat), tol=1e-14, max_iter=200)
         assert np.max(np.abs(polished.mu_hat - slow.mu_hat)) <= 1e-8 * (1 + np.max(np.abs(y)))
 
     def test_fit_reports_the_polish_verdict(self, rng):
         y = random_walk(rng, 60)
         lam = lambda_max(y) / 10
-        res = fit(y, lam, tol=1e-8)
+        res = fit(y, lam)
         assert res.converged
         assert check_kkt(y, res.mu_hat, lam).passed
 
@@ -132,6 +138,48 @@ class TestLassoPath:
         lmax = lambda_max(y)
         path = fit_path(y, [lmax * f for f in (0.3, 0.5, 0.7, 1.0)])
         assert all(e.kkt.passed for e in path.entries)
+
+    @pytest.mark.parametrize("y", [
+        # rounded to multiples of 5: exact ties at the subgradient bound abound
+        pytest.param(np.round(_noisy("example2", 400, 400.0, (5, 0, 0)) / 5.0) * 5.0, id="rounded"),
+        pytest.param(_noisy("example2", 500, 25.0, (1, 1, 2)), id="snr25"),
+        # large n: the lambda_max entry used to cycle for the whole round budget
+        pytest.param(_noisy("example2", 4000, 400.0, (1, 0, 0)), id="n4000"),
+    ])
+    def test_ties_at_the_bound_do_not_cycle(self, y):
+        path = fit_path(y, default_grid(lambda_max(y)))
+        assert [i for i, e in enumerate(path.entries) if not e.kkt.passed] == []
+        assert [i for i, e in enumerate(path.entries) if not e.fit.converged] == []
+
+    def test_admission_steps_in_violators_only(self, rng):
+        # one rmatvec screen, checked against the dense KKT test of each column
+        y = random_walk(rng, 40)
+        prob = LassoProblem(y, lambda_max(y) / 8)
+        Zd = prob.Z.dense()
+        beta = np.zeros(40)
+        beta[:2] = np.linalg.lstsq(Zd[:, :2], y, rcond=None)[0]
+        r = y - Zd @ beta
+        g = Zd.T @ r
+        violators = [j for j in range(2, 40) if abs(g[j]) > prob.lam]
+        admitted = list(_admit(prob, beta, r, np.full(40, prob.lam)))
+        peak = max(violators, key=lambda j: abs(g[j]))
+        assert admitted[0] == peak and set(admitted) <= set(violators)
+        assert np.flatnonzero(beta[2:]).tolist() == sorted(j - 2 for j in admitted)
+        assert np.allclose(r, y - Zd @ beta, atol=1e-9 * (1 + np.max(np.abs(y))))
+        # a coordinate held to a higher bound is passed over
+        beta[2:] = 0.0
+        bound = np.full(40, prob.lam)
+        bound[peak] = 2.0 * abs(g[peak])
+        assert peak not in _admit(prob, beta, y - Zd @ beta, bound)
+
+    def test_optimum_admits_nothing(self, rng):
+        y = random_walk(rng, 40)
+        lam = lambda_max(y) / 8
+        prob = LassoProblem(y, lam)
+        beta = prob.Z.encode(fit(y, lam).mu_hat)
+        beta[2:][np.abs(beta[2:]) < 1e-12 * np.max(np.abs(beta))] = 0.0
+        r = y - prob.Z.matvec(beta)
+        assert _admit(prob, beta, r, np.full(40, lam * (1 + 1e-7))).size == 0
 
     def test_grid_validation(self, rng):
         y = random_walk(rng, 10)
