@@ -90,7 +90,12 @@ def cmd_fit(args) -> int:
     io.write_fit_csv(out, y, fit, kinks, args_echo=_args_echo(args))
     print(f"lambda={lam:.12g} objective={fit.objective:.12g} kinks={len(kinks)} -> {out}")
     if not fit.converged:
-        print("warning: solver did not converge within its sweep budget", file=sys.stderr)
+        report = check_kkt(y, fit.mu_hat, lam)
+        if report.passed:
+            print("warning: solver did not converge within its sweep budget", file=sys.stderr)
+        else:
+            print("warning: fit failed its KKT certificate: "
+                  f"max_inactive_ratio={report.max_inactive_ratio:.6g}", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 

@@ -12,21 +12,28 @@ cumulative sums, and the active-set solve takes its Gram block in closed form.
 
 ``cd_fit`` is plain cyclic coordinate descent: the unpenalized pair (1, 2) by
 an exact least-squares step, each penalized coordinate by soft-thresholding at
-lam / ||z_j||^2. It is O(n^2) a sweep, and ``budget_path`` keeps it for the
-smearing it leaves. ``active_set_polish``, behind ``fit_path`` and ``fit``,
-alternates an exact solve of the sign-restricted subproblem on the nonzero set
-(with zero-crossing line searches) with an admission step: one ``Z'r`` finds
-the inactive coordinates that violate |z_j'r| <= lam, and only those are
-re-tested, largest violation first, and stepped in, so a round is O(n) plus
-O(n) per candidate (the screen-then-check working set of glmnet and the strong
-rules). Adjacent Z
+lam / ||z_j||^2. A sweep is O(n): one ``Z'r``, one scalar loop that updates
+each coordinate's inner product in closed form from the moves made before it
+in the sweep, and one ``Z d`` that applies all the moves (the pathwise
+coordinate descent of Friedman, Hastie, Hoefling & Tibshirani 2007).
+``budget_path`` keeps it for the smearing it leaves.
+
+``active_set_polish``, behind ``fit_path`` and ``fit``, alternates an exact
+solve of the sign-restricted subproblem on the nonzero set (with zero-crossing
+line searches) with an admission step: one ``Z'r`` finds the inactive
+coordinates that violate |z_j'r| <= lam, and only those are re-tested, largest
+violation first, and stepped in, so a round is O(n) plus O(n) per candidate
+(the screen-then-check working set of glmnet and the strong rules). Adjacent Z
 columns are so collinear that plain cyclic descent cannot reach tight
 tolerances on its own at realistic n, so the polish is where production
 accuracy comes from. mu_hat = Z beta_hat either way, and every fit can be
-certified by the independent KKT oracle.
+certified by the independent KKT oracle; ``fit_path`` flags a fit converged
+only when it is.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,7 +51,8 @@ ADMIT_MARGIN = 1e-7
 
 class LassoProblem:
     """Problem description with the O(n) pieces every sweep reuses: the column
-    norms, the Gram block of the unpenalized pair, and the ramp 0, 1, ..., n-1."""
+    norms, the Gram block of the unpenalized pair, the ramp 0, 1, ..., n-1, and
+    the ramp sums S1(n - j) that couple column j to the columns before it."""
 
     def __init__(self, y, lam: float):
         yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
@@ -56,6 +64,8 @@ class LassoProblem:
         self._norms = self.Z.column_norms_sq()
         self._G2 = self.Z.gram([0, 1])
         self._t = np.arange(yv.size, dtype=float)
+        L = yv.size - self._t  # n - j: the length of column j's ramp
+        self._s1 = L * (L + 1) / 2.0
 
     @property
     def n(self) -> int:
@@ -83,21 +93,42 @@ def _block_ls_step(prob, beta, r):
 
 
 def _cd_pass(prob, beta, r):
-    """One cyclic sweep: block step on (1,2), soft-thresholding on 3..n.
-    O(n^2). Returns the max relative change."""
-    nrm, lam, t = prob._norms, prob.lam, prob._t
-    n = prob.n
+    """One cyclic sweep: block step on (1,2), then soft-thresholding on 3..n in
+    order, in O(n). g = Z'r is taken once, after the block step. By the turn of
+    coordinate j the columns i < j have moved by d_i, and z_j'z_i = S2(L) +
+    (j - i) S1(L) with L = n - j, so
+
+        z_j'r = g_j - S2(L) D0 - S1(L) (j D0 - D1),  D0 = sum d_i, D1 = sum i d_i,
+
+    where S1 and S2 are the sums of 1..L and of their squares (S2(L) is
+    ||z_j||^2). One matvec then applies every move to r. Returns the max
+    relative change."""
+    lam, n = prob.lam, prob.n
     maxrel = _block_ls_step(prob, beta, r)
-    for j in range(2, n):
-        zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
-        bj = beta[j]
-        rho = zj @ r[j:] + nrm[j] * bj
-        bnew = float(np.sign(rho)) * max(abs(rho) - lam, 0.0) / nrm[j]
-        d = bnew - bj
-        if d != 0.0:
-            r[j:] -= zj * d
-            beta[j] = bnew
-            maxrel = max(maxrel, abs(d) / (1.0 + abs(bnew)))
+    g = prob.Z.rmatvec(r).tolist()
+    b = beta.tolist()
+    d = [0.0] * n
+    D0 = D1 = 0.0
+    for j, s2, s1 in zip(range(2, n), prob._norms[2:].tolist(), prob._s1[2:].tolist()):
+        bj = b[j]
+        rho = g[j] - s2 * D0 - s1 * (j * D0 - D1) + s2 * bj
+        if rho > lam:
+            bnew = (rho - lam) / s2
+        elif rho < -lam:
+            bnew = (rho + lam) / s2
+        else:
+            bnew = 0.0
+        dj = bnew - bj
+        if dj != 0.0:
+            b[j] = bnew
+            d[j] = dj
+            D0 += dj
+            D1 += dj * j
+            rel = abs(dj) / (1.0 + abs(bnew))
+            if rel > maxrel:
+                maxrel = rel
+    beta[2:] = b[2:]
+    r -= prob.Z.matvec(np.array(d))
     return maxrel
 
 
@@ -262,25 +293,25 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) ->
 def fit_path(y, lambda_grid) -> LambdaPath:
     """Fits for an increasing grid; solved internally in descending order with
     warm starts (standard homotopy efficiency), reversed on output. The
-    minimizer at each lambda is unique, so ordering is a speed detail only."""
+    minimizer at each lambda is unique, so ordering is a speed detail only.
+    A fit is flagged converged only when its polish converged and its KKT
+    certificate passed; at lam = 0 the fit is y itself."""
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
     grid = validate_grid(lambda_grid)
-    fits: dict[float, tuple[TrendFit, bool]] = {}
-    beta = np.zeros(yv.size)
-    first = True
-    for lam in reversed(grid):
-        prob = LassoProblem(yv, lam)
-        if lam == 0.0:
-            fits[lam] = (cd_fit(prob, tol=1e-9), False)  # exact encoding start, not a warm start
-            continue
-        seed = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, solver="lasso")
-        fit_l = active_set_polish(prob, seed)
-        fits[lam] = (fit_l, not first)
-        beta = _sparse_encode(prob.Z, fit_l.mu_hat)
-        first = False
     entries = []
-    for lam in grid:
-        fit_l, warm = fits[lam]
+    beta = np.zeros(yv.size)
+    warm = False
+    for lam in reversed(grid):
+        if lam == 0.0:  # the interpolant, not a warm start
+            fit_l, warm = TrendFit.from_mu(yv, yv.copy(), 0.0, solver="lasso"), False
+        else:
+            prob = LassoProblem(yv, lam)
+            seed = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, solver="lasso")
+            fit_l = active_set_polish(prob, seed)
+            beta = _sparse_encode(prob.Z, fit_l.mu_hat)
         report = check_kkt(yv, fit_l.mu_hat, lam)
+        if fit_l.converged and not report.passed:
+            fit_l = replace(fit_l, converged=False)
         entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
-    return LambdaPath(entries=tuple(entries))
+        warm = True
+    return LambdaPath(entries=tuple(reversed(entries)))

@@ -6,7 +6,7 @@ import pytest
 
 from trendfilter.cli import main
 from trendfilter.io import read_series
-from trendfilter.kkt import affine_fit, lambda_max
+from trendfilter.kkt import affine_fit, check_kkt, lambda_max
 from trendfilter.simulate import PiecewiseLinearSpec, gen_trend
 
 
@@ -115,6 +115,30 @@ class TestFit:
                      "--output", str(out)]) == 0
         assert main(["check", "--input", str(p), "--fit", str(out), "--lambda", repr(lam),
                      "--output", str(tmp_path / "kkt.csv")]) == 0
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_exit3_names_its_cause(self, tmp_path, noisy_line, monkeypatch, capsys, certified):
+        # an unconverged fit that fails its certificate says so, with the margin
+        import dataclasses
+        from trendfilter import cli
+        from trendfilter.core import TrendFit
+        real = cli.lasso.fit
+
+        def stuck(y, lam):
+            f = real(y, lam) if certified else TrendFit.from_mu(y, affine_fit(y.y), lam)
+            return dataclasses.replace(f, converged=False)
+
+        monkeypatch.setattr(cli.lasso, "fit", stuck)
+        p, y = noisy_line
+        lam = 0.01 * lambda_max(y)
+        assert main(["fit", "--input", str(p), "--lambda", repr(lam), "--solver", "lasso",
+                     "--output", str(tmp_path / "fit.csv")]) == 3
+        err = capsys.readouterr().err
+        if certified:
+            assert "did not converge within its sweep budget" in err
+        else:
+            ratio = check_kkt(y, affine_fit(y), lam).max_inactive_ratio
+            assert f"failed its KKT certificate: max_inactive_ratio={ratio:.6g}" in err
 
     def test_header_after_metadata_lines(self, tmp_path, noisy_line):
         # the form the tool writes: '#' metadata lines, then a header row

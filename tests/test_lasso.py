@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from trendfilter.core import objective_value
+from trendfilter.core import extract_kinks, objective_value
 from trendfilter.design import DesignZ, InvalidDimensionError, second_diff
 from trendfilter.kkt import affine_fit, check_kkt, lambda_max, oracle_solve
-from trendfilter.lasso import LassoProblem, _admit, active_set_polish, cd_fit, fit, fit_path
+from trendfilter import lasso
+from trendfilter.lasso import (LassoProblem, _admit, _block_ls_step, _cd_pass, active_set_polish,
+                               budget_path, cd_fit, fit, fit_path)
 from trendfilter.selection import default_grid
 from trendfilter.simulate import PRESETS, NoiseSpec, add_noise, gen_trend
 from tests.conftest import random_walk
@@ -12,6 +14,29 @@ from tests.conftest import random_walk
 
 def _noisy(shape, n, snr, seed):
     return add_noise(gen_trend(PRESETS[shape](n=n)), NoiseSpec(snr=snr, seed=seed)).y
+
+
+def _reference_pass(prob, beta, r):
+    """The O(n^2) sweep: each coordinate reads its inner product off its own
+    tail of r and writes its move straight back into that tail."""
+    nrm, lam, t = prob._norms, prob.lam, prob._t
+    n = prob.n
+    maxrel = _block_ls_step(prob, beta, r)
+    for j in range(2, n):
+        zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
+        bj = beta[j]
+        rho = zj @ r[j:] + nrm[j] * bj
+        bnew = float(np.sign(rho)) * max(abs(rho) - lam, 0.0) / nrm[j]
+        d = bnew - bj
+        if d != 0.0:
+            r[j:] -= zj * d
+            beta[j] = bnew
+            maxrel = max(maxrel, abs(d) / (1.0 + abs(bnew)))
+    return maxrel
+
+
+# the level-offset and added-line series of the robustness probes
+_BASE = _noisy("example2", 400, 400.0, (5, 0, 0))
 
 
 class TestCdFit:
@@ -43,6 +68,39 @@ class TestCdFit:
         y = random_walk(rng, 40)
         res = cd_fit(LassoProblem(y, lambda_max(y) / 20), tol=1e-14, max_iter=2)
         assert not res.converged
+
+
+class TestCdPass:
+    @pytest.mark.parametrize("y", [
+        pytest.param(random_walk(np.random.default_rng(7), 300), id="random-walk"),
+        pytest.param(_BASE + 1e6, id="offset"),
+        pytest.param(_BASE + 1e4 * np.arange(_BASE.size), id="added-line"),
+        pytest.param(_noisy("example2", 2000, 400.0, (1, 0, 0)), id="n2000"),
+    ])
+    @pytest.mark.parametrize("start", ["interpolant", "zero"])
+    def test_matches_the_quadratic_sweep(self, y, start):
+        # the closed-form inner products reproduce the tail-by-tail sweep
+        prob = LassoProblem(y, lambda_max(y) / 100)
+        beta = prob.Z.encode(y) if start == "interpolant" else np.zeros(y.size)
+        b_ref, b_new = beta.copy(), beta.copy()
+        r_ref = y - prob.Z.matvec(beta)
+        r_new = r_ref.copy()
+        tol = 1e-12 * (1 + np.max(np.abs(y)))
+        for sweep in range(5):
+            m_ref = _reference_pass(prob, b_ref, r_ref)
+            m_new = _cd_pass(prob, b_new, r_new)
+            if sweep in (0, 4):
+                assert np.max(np.abs(b_new - b_ref)) <= tol
+                assert np.max(np.abs(r_new - r_ref)) <= tol
+                assert abs(m_new - m_ref) <= tol
+
+    def test_budget_path_kinks_match_the_quadratic_sweep(self, monkeypatch):
+        y = _noisy("example2", 500, 400.0, (1, 0, 0))
+        grid = default_grid(lambda_max(y))
+        fast = [len(extract_kinks(e.fit)) for e in budget_path(y, grid).entries]
+        monkeypatch.setattr(lasso, "_cd_pass", _reference_pass)
+        slow = [len(extract_kinks(e.fit)) for e in budget_path(y, grid).entries]
+        assert fast == slow
 
 
 class TestKktAtConvergence:
@@ -127,6 +185,18 @@ class TestLassoPath:
         assert all(e.warm_start for e in path.entries[1:-1])
         for e in path.entries:
             assert e.kkt.passed
+
+    def test_lambda_zero_is_y(self, rng):
+        y = random_walk(rng, 30)
+        e = fit_path(y, [0.0, lambda_max(y) / 10]).entries[0]
+        assert np.array_equal(e.fit.mu_hat, y)
+        assert e.fit.converged and e.kkt.passed and not e.warm_start
+
+    def test_converged_means_certified(self):
+        # a level offset of 1e6: entries whose certificate fails are not flagged converged
+        y = _BASE + 1e6
+        path = fit_path(y, default_grid(lambda_max(y)))
+        assert [e.fit.converged for e in path.entries] == [e.kkt.passed for e in path.entries]
 
     def test_beyond_the_dense_limit(self):
         # the route is matrix-free: a series longer than the dense cap is fit and certified
