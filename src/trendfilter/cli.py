@@ -81,6 +81,17 @@ def _solve_single(y: TimeSeries, lam: float, solver: str, tol: float):
     return lasso.fit(y, lam)
 
 
+def _unconverged(y: TimeSeries, fit, lam: float) -> int:
+    """Name the cause of an unconverged fit on stderr; returns exit code 3."""
+    report = check_kkt(y, fit.mu_hat, lam)
+    if report.passed:
+        print("warning: solver did not converge within its sweep budget", file=sys.stderr)
+    else:
+        print("warning: fit failed its KKT certificate: "
+              f"max_inactive_ratio={report.max_inactive_ratio:.6g}", file=sys.stderr)
+    return EXIT_NONCONVERGED
+
+
 def cmd_fit(args) -> int:
     y = io.read_series(args.input)
     lam = _resolve_lambda(args, y)
@@ -89,15 +100,7 @@ def cmd_fit(args) -> int:
     out = _outpath(args, "fit.csv")
     io.write_fit_csv(out, y, fit, kinks, args_echo=_args_echo(args))
     print(f"lambda={lam:.12g} objective={fit.objective:.12g} kinks={len(kinks)} -> {out}")
-    if not fit.converged:
-        report = check_kkt(y, fit.mu_hat, lam)
-        if report.passed:
-            print("warning: solver did not converge within its sweep budget", file=sys.stderr)
-        else:
-            print("warning: fit failed its KKT certificate: "
-                  f"max_inactive_ratio={report.max_inactive_ratio:.6g}", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return EXIT_OK if fit.converged else _unconverged(y, fit, lam)
 
 
 def _path_for(args, y: TimeSeries):
@@ -140,9 +143,7 @@ def cmd_select(args) -> int:
     out = _outpath(args, "selected.csv")
     io.write_fit_csv(out, y, fit, extract_kinks(fit, args.tol_kink), args_echo=_args_echo(args))
     print(f"selected lambda={lam_opt:.12g} ({args.criterion}) -> {out}")
-    if not fit.converged:
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return EXIT_OK if fit.converged else _unconverged(y, fit, lam_opt)
 
 
 def _config_from_args(args) -> simulate.ExperimentConfig:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
 from .design import DesignZ
-from .kkt import check_kkt, lambda_max
+from .kkt import affine_fit, check_kkt, lambda_max
 
 LADDER_POINTS = 8  # rungs of a single fit's homotopy, lam to lambda_max inclusive
 # A coordinate caught in an admission cycle re-enters only when |z_j'r| exceeds
@@ -220,8 +220,10 @@ def active_set_polish(prob: LassoProblem, fit: TrendFit, max_rounds: int = 200) 
     already-optimal fit comes back unchanged. A round that lands on a signed
     support reached before is therefore a cycle among ties at the bound: the
     coordinates admitted last need ``ADMIT_MARGIN`` to enter from then on.
-    ``converged`` is this polish's own verdict: the fit it starts from only
-    seeds it."""
+    The fit ends with an exact O(n) least-squares refit of the unpenalised
+    affine pair, which the dense restricted solve leaves off its optimum at
+    large n. ``converged`` is this polish's own verdict: the fit it starts
+    from only seeds it."""
     lam = prob.lam
     if lam == 0.0:
         return fit
@@ -242,7 +244,9 @@ def active_set_polish(prob: LassoProblem, fit: TrendFit, max_rounds: int = 200) 
         if not admitted.size:
             converged = True
             break
-    return TrendFit.from_mu(prob.y, Z.matvec(beta), lam, converged=converged, solver="lasso")
+    mu = Z.matvec(beta)
+    mu += affine_fit(prob.y - mu)  # the unpenalised pair, refit exactly in O(n)
+    return TrendFit.from_mu(prob.y, mu, lam, converged=converged, solver="lasso")
 
 
 def fit(y, lam: float) -> TrendFit:

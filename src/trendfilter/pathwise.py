@@ -11,12 +11,14 @@ repeats three moves until a round moves nothing:
 
 * a descent cycle: exact 1-d minimization coordinate by coordinate, where the
   1-d profile is a quadratic plus at most two hinge terms at the neighbouring
-  slope values;
+  slope values (the coordinate-wise descent of Friedman, Hastie, Hoefling &
+  Tibshirani 2007); one O(n) pass runs on Python floats with the residual's
+  suffix sums corrected in a scalar, and writes nu and r back once;
 * a structure polish that solves every run value jointly and exactly for the
   current pattern of equal-slope runs with frozen boundary signs (one
-  tridiagonal solve, O(G) for G runs), walking sign collisions (each
-  collision merges two runs) -- the assembled step is kept only if it does
-  not increase f;
+  tridiagonal solve, O(G) for G runs), walking sign collisions one solve per
+  collision, each merging two runs; the signs and the first collision of a
+  step are numpy scans. The assembled step is kept only if f does not rise;
 * a split scan that reads the residual subgradient and attempts a sub-run
   joint move exactly where its unit bound is violated inside a run.
 
@@ -75,52 +77,54 @@ class FusedState:
 
     def groups(self) -> list[tuple[int, int]]:
         """Maximal runs of exactly equal slope values, as (start, end) inclusive, 0-based."""
-        return _runs_of(self.nu)
+        return list(zip(*(x.tolist() for x in _runs_of(self.nu))))
 
     def mu(self) -> np.ndarray:
         return np.cumsum(self.nu)
 
 
-def _runs_of(nu: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    s = 0
-    for i in range(1, nu.size):
-        if nu[i] != nu[s]:
-            runs.append((s, i - 1))
-            s = i
-    runs.append((s, nu.size - 1))
-    return runs
+def _runs_of(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends (inclusive) of the maximal runs of exactly equal values."""
+    cut = np.flatnonzero(np.diff(nu) != 0)
+    return np.r_[0, cut + 1], np.r_[cut, nu.size - 1]
 
 
 def _pwq_min(w2: float, c: float, lam: float, b1, b2, prefer: float) -> tuple[float, bool]:
     """Minimize 0.5*w2*v^2 - c*v + lam*(|v-b1| + |v-b2|); breakpoints may be None.
 
-    Scans the stationary candidate of each interval (the hinge subgradient is
-    constant there); if none lands in its own interval the minimum sits at a
-    breakpoint, and exact ties go to ``prefer``.
+    Tries the stationary point of each interval between the sorted breakpoints
+    (the hinge subgradient is constant there); if none lands in its own
+    interval the minimum sits at a breakpoint, and exact ties go to ``prefer``.
     """
-    bps = [b for b in (b1, b2) if b is not None]
-    if not bps:
-        return c / w2, True
-    bps.sort()
-    k = len(bps)
-    lo = -np.inf
-    for i in range(k + 1):
-        hi = bps[i] if i < k else np.inf
-        v = (c - lam * (2 * i - k)) / w2
-        if (v > lo or i == 0) and v <= hi:
+    if b1 is None or b2 is None:
+        b = b2 if b1 is None else b1
+        if b is None:
+            return c / w2, True
+        v = (c + lam) / w2
+        if v <= b:
             return v, True
-        lo = hi
-    if k == 1 or bps[0] == bps[1]:
-        return bps[0], False
-
-    def psi(v):
-        return 0.5 * w2 * v * v - c * v + lam * (abs(v - bps[0]) + abs(v - bps[1]))
-
-    p0, p1 = psi(bps[0]), psi(bps[1])
+        v = (c - lam) / w2
+        if v > b:
+            return v, True
+        return b, False
+    lo, hi = (b2, b1) if b2 < b1 else (b1, b2)
+    v = (c + 2.0 * lam) / w2
+    if v <= lo:
+        return v, True
+    v = c / w2
+    if lo < v <= hi:
+        return v, True
+    v = (c - 2.0 * lam) / w2
+    if v > hi:
+        return v, True
+    if lo == hi:
+        return lo, False
+    gap = lam * (hi - lo)  # the hinge pair's value at either breakpoint
+    p0 = 0.5 * w2 * lo * lo - c * lo + gap
+    p1 = 0.5 * w2 * hi * hi - c * hi + gap
     if abs(p0 - p1) <= 1e-15 * (1.0 + abs(p0)):
         return prefer, False
-    return (bps[0] if p0 < p1 else bps[1]), False
+    return (lo if p0 < p1 else hi), False
 
 
 def descent_update(state: FusedState, k: int, lam: float) -> float | None:
@@ -199,32 +203,33 @@ def _try_fuse(y, nu, r, lam, s, e):
 
 
 def _descent_sweep(y, nu, r, lam, reverse=False):
-    """Full cyclic descent pass; suffix sums of the residual are tracked in
-    scalars so the pass is O(n) plus one vector update."""
+    """Full cyclic descent pass in O(n): the suffix sums of the residual are
+    taken once and corrected in a scalar for the moves made so far, the pass
+    runs on Python floats, and nu and r are written back once at the end."""
     n = y.size
     maxrel = 0.0
-    suf = np.cumsum(r[::-1])[::-1]
-    deltas = np.zeros(n)
+    suf = np.cumsum(r[::-1])[::-1].tolist()
+    x = nu.tolist()
+    deltas = [0.0] * n
     order = range(n - 1, -1, -1) if reverse else range(n)
     delta_tot = 0.0  # forward: total of earlier deltas; reverse: sum of d*(n-j)
     for k in order:
-        if reverse:
-            S = suf[k] - delta_tot
-        else:
-            S = suf[k] - delta_tot * (n - k)
+        S = suf[k] - (delta_tot if reverse else delta_tot * (n - k))
         w2 = float(n - k)
-        c = w2 * nu[k] + S
-        b1 = nu[k - 1] if k >= 2 else None
-        b2 = nu[k + 1] if (k >= 1 and k + 1 < n) else None
-        prefer = nu[k + 1] if k + 1 < n else nu[k]
-        v, _ = _pwq_min(w2, c, lam, b1, b2, prefer)
-        d = v - nu[k]
+        xk = x[k]
+        nxt = x[k + 1] if k + 1 < n else None
+        v, _ = _pwq_min(w2, w2 * xk + S, lam, x[k - 1] if k >= 2 else None,
+                        nxt if k >= 1 else None, xk if nxt is None else nxt)
+        d = v - xk
         if d != 0.0 and abs(d) > DEADBAND * (1.0 + abs(v)):
-            nu[k] = v
+            x[k] = v
             deltas[k] = d
             delta_tot += d * (n - k) if reverse else d
-            maxrel = max(maxrel, abs(d) / (1.0 + abs(v)))
+            rel = abs(d) / (1.0 + abs(v))
+            if rel > maxrel:
+                maxrel = rel
     if maxrel > 0.0:
+        nu[:] = x
         r -= np.cumsum(deltas)
     return maxrel
 
@@ -275,34 +280,29 @@ def _structure_polish(y, nu, r, lam):
     The assembled move is accepted only if the true objective does not increase.
     """
     n = y.size
-    runs = _runs_of(nu)
-    a = np.array([s for s, _ in runs])
-    b = np.array([e for _, e in runs])
+    a, b = _runs_of(nu)
     alpha = nu[a]
     cs_y = np.concatenate([[0.0], np.cumsum(y)])
     cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
     moved = False
-    for _ in range(len(runs) + 8):
-        G = a.size
-        pb = [g for g in range(1, G) if a[g] >= 2]
-        signs = np.array([np.sign(alpha[g] - alpha[g - 1]) for g in pb])
-        h = np.zeros(G)
-        for g, sg in zip(pb, signs):
-            h[g] += sg
-            h[g - 1] -= sg
+    for _ in range(a.size + 8):
+        # a run starting at a[g] >= 2 has a penalised boundary with the one before it
+        diff0 = np.diff(alpha)
+        signs = np.where(a[1:] >= 2, np.sign(diff0), 0.0)
+        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
         d = _run_values(a, b, cs_y, cs_ty, h, lam) - alpha
         if not np.all(np.isfinite(d)):
             break
-        theta = 1.0
-        collide = -1
-        for g, sg in zip(pb, signs):
-            diff0 = alpha[g] - alpha[g - 1]
-            ddiff = d[g] - d[g - 1]
-            if ddiff != 0.0 and sg * (diff0 + ddiff) < 0:
-                tc = -diff0 / ddiff
-                if 0.0 <= tc < theta:
-                    theta = tc
-                    collide = g
+        # the first boundary whose sign the full step would flip, at step tc < 1;
+        # argmin takes the lowest such boundary on a tie
+        ddiff = np.diff(d)
+        hit = np.flatnonzero((ddiff != 0.0) & (signs * (diff0 + ddiff) < 0))
+        tc = -diff0[hit] / ddiff[hit]
+        ok = (tc >= 0.0) & (tc < 1.0)
+        theta, collide = 1.0, -1
+        if np.any(ok):
+            k = int(np.argmin(np.where(ok, tc, np.inf)))
+            theta, collide = tc[k], int(hit[k]) + 1
         alpha = alpha + theta * d
         moved = True
         if collide < 0:
@@ -346,7 +346,7 @@ def _split_scan(y, nu, r, lam, slack=1e-7):
     viol = np.abs(graw) > lam * (1.0 + slack)
     if not np.any(viol):
         return 0.0, 0
-    for a, b in _runs_of(nu):
+    for a, b in zip(*(x.tolist() for x in _runs_of(nu))):
         if b == a:
             continue
         for p in range(max(a + 1, 2), b + 1):

@@ -220,6 +220,35 @@ class TestPathAndSelect:
         assert header[:3] == ["t", "y", "mu_hat"]
         assert len(rows) == 40
 
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_select_exit3_names_its_cause(self, tmp_path, noisy_line, monkeypatch, capsys,
+                                          certified):
+        # select exits 3 on an unconverged selected fit and names the cause, as fit does
+        import dataclasses
+        from trendfilter import cli
+        from trendfilter.kkt import KktReport
+        real = cli.lasso.fit_path
+
+        def stuck(y, grid):
+            path = real(y, grid)
+            return dataclasses.replace(path, entries=tuple(
+                dataclasses.replace(e, fit=dataclasses.replace(e.fit, converged=False))
+                for e in path.entries))
+
+        monkeypatch.setattr(cli.lasso, "fit_path", stuck)
+        if not certified:
+            failing = KktReport(max_inactive_ratio=1.25, active_sign_mismatches=0,
+                                stationarity_residual=0.0, passed=False)
+            monkeypatch.setattr(cli, "check_kkt", lambda *args, **kwargs: failing)
+        p, _ = noisy_line
+        assert main(["select", "--input", str(p), "--solver", "lasso", "--grid-size", "8",
+                     "--output", str(tmp_path / "sel.csv")]) == 3
+        err = capsys.readouterr().err
+        if certified:
+            assert "did not converge within its sweep budget" in err
+        else:
+            assert "failed its KKT certificate: max_inactive_ratio=1.25" in err
+
     def test_nonconverged_entries_are_named(self, tmp_path, noisy_line, monkeypatch, capsys):
         # exit 3 names each unconverged entry with its lambda and certificate margin
         import dataclasses

@@ -198,6 +198,14 @@ class TestLassoPath:
         path = fit_path(y, default_grid(lambda_max(y)))
         assert [e.fit.converged for e in path.entries] == [e.kkt.passed for e in path.entries]
 
+    def test_large_n_affine_pair_is_refit(self):
+        # at n = 16000 the dense restricted solve leaves the affine pair off its
+        # least-squares optimum: 46 of 61 entries failed their certificate
+        y = _noisy("example2", 16000, 400.0, 1)
+        path = fit_path(y, default_grid(lambda_max(y)))
+        assert [i for i, e in enumerate(path.entries) if not e.kkt.passed] == []
+        assert [i for i, e in enumerate(path.entries) if not e.fit.converged] == []
+
     def test_beyond_the_dense_limit(self):
         # the route is matrix-free: a series longer than the dense cap is fit and certified
         from trendfilter.simulate import NoiseSpec, add_noise, example2, gen_trend

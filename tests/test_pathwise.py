@@ -11,8 +11,11 @@ from trendfilter.pathwise import (
     fit,
     fit_path,
     fusion_update,
+    _descent_sweep,
+    _pwq_min,
     _run_values,
     _solve_at,
+    _structure_polish,
 )
 from trendfilter.selection import default_grid
 from trendfilter.simulate import NoiseSpec, PiecewiseLinearSpec, add_noise, example2, gen_trend
@@ -30,6 +33,216 @@ def brute_1d_min(y, nu, k, lam, halfwidth=3.0, points=20001):
         if f < best_f:
             best_f, best_v = f, v
     return best_v
+
+
+def _reference_pwq_min(w2, c, lam, b1, b2, prefer):
+    """The loop form of the 1-d minimiser: one stationary candidate per
+    interval between the sorted breakpoints, then the breakpoint tie rule."""
+    bps = [b for b in (b1, b2) if b is not None]
+    if not bps:
+        return c / w2, True
+    bps.sort()
+    k = len(bps)
+    lo = -np.inf
+    for i in range(k + 1):
+        hi = bps[i] if i < k else np.inf
+        v = (c - lam * (2 * i - k)) / w2
+        if (v > lo or i == 0) and v <= hi:
+            return v, True
+        lo = hi
+    if k == 1 or bps[0] == bps[1]:
+        return bps[0], False
+
+    def psi(v):
+        return 0.5 * w2 * v * v - c * v + lam * (abs(v - bps[0]) + abs(v - bps[1]))
+
+    p0, p1 = psi(bps[0]), psi(bps[1])
+    if abs(p0 - p1) <= 1e-15 * (1.0 + abs(p0)):
+        return prefer, False
+    return (bps[0] if p0 < p1 else bps[1]), False
+
+
+def _reference_sweep(y, nu, r, lam, reverse=False):
+    """The descent pass on numpy scalars, writing each move into nu as it goes."""
+    n = y.size
+    maxrel = 0.0
+    suf = np.cumsum(r[::-1])[::-1]
+    deltas = np.zeros(n)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    delta_tot = 0.0
+    for k in order:
+        S = suf[k] - delta_tot if reverse else suf[k] - delta_tot * (n - k)
+        w2 = float(n - k)
+        c = w2 * nu[k] + S
+        b1 = nu[k - 1] if k >= 2 else None
+        b2 = nu[k + 1] if (k >= 1 and k + 1 < n) else None
+        prefer = nu[k + 1] if k + 1 < n else nu[k]
+        v, _ = _reference_pwq_min(w2, c, lam, b1, b2, prefer)
+        d = v - nu[k]
+        if d != 0.0 and abs(d) > pathwise.DEADBAND * (1.0 + abs(v)):
+            nu[k] = v
+            deltas[k] = d
+            delta_tot += d * (n - k) if reverse else d
+            maxrel = max(maxrel, abs(d) / (1.0 + abs(v)))
+    if maxrel > 0.0:
+        r -= np.cumsum(deltas)
+    return maxrel
+
+
+def _reference_polish(y, nu, r, lam):
+    """The structure polish with its runs, boundary signs and collision scan
+    in Python loops; the first collision wins a tie (strict <)."""
+    n = y.size
+    runs = []
+    s = 0
+    for i in range(1, n):
+        if nu[i] != nu[s]:
+            runs.append((s, i - 1))
+            s = i
+    runs.append((s, n - 1))
+    a = np.array([s for s, _ in runs])
+    b = np.array([e for _, e in runs])
+    alpha = nu[a]
+    cs_y = np.concatenate([[0.0], np.cumsum(y)])
+    cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
+    moved = False
+    for _ in range(len(runs) + 8):
+        G = a.size
+        pb = [g for g in range(1, G) if a[g] >= 2]
+        signs = np.array([np.sign(alpha[g] - alpha[g - 1]) for g in pb])
+        h = np.zeros(G)
+        for g, sg in zip(pb, signs):
+            h[g] += sg
+            h[g - 1] -= sg
+        d = pathwise._run_values(a, b, cs_y, cs_ty, h, lam) - alpha
+        if not np.all(np.isfinite(d)):
+            break
+        theta = 1.0
+        collide = -1
+        for g, sg in zip(pb, signs):
+            diff0 = alpha[g] - alpha[g - 1]
+            ddiff = d[g] - d[g - 1]
+            if ddiff != 0.0 and sg * (diff0 + ddiff) < 0:
+                tc = -diff0 / ddiff
+                if 0.0 <= tc < theta:
+                    theta = tc
+                    collide = g
+        alpha = alpha + theta * d
+        moved = True
+        if collide < 0:
+            break
+        a = np.delete(a, collide)
+        b = np.delete(b, collide - 1)
+        alpha = np.delete(alpha, collide)
+    if not moved:
+        return 0.0
+    nu_new = np.repeat(alpha, b - a + 1)
+    mu_new = np.cumsum(nu_new)
+    f_old = pathwise._objective(y, np.cumsum(nu), lam)
+    f_new = pathwise._objective(y, mu_new, lam)
+    if f_new > f_old + pathwise._ACCEPT_SLACK * (1.0 + abs(f_old)):
+        return 0.0
+    rel = float(np.max(np.abs(nu_new - nu) / (1.0 + np.abs(nu_new))))
+    if rel <= pathwise.DEADBAND:
+        return 0.0
+    nu[:] = nu_new
+    r[:] = y - mu_new
+    return rel
+
+
+def _same_bits(x, z):
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(z, dtype=float).tobytes()
+
+
+# the sweep at k = 2 of this series sits on the psi/prefer tie: its stationary
+# candidate is the lower breakpoint 1000, the hinge values at 1000 and
+# 1000 + 1e-5 agree to 1e-15 relative, and the tie goes to nu_4 = 1000 + 1e-5
+_TIE_NU = np.array([0.0, 1000.0, 1000.0, 1000.0 + 1e-5, 1000.0 + 1e-5])
+
+
+class TestReferenceEquivalence:
+    """The scalar sweep and the numpy collision walk against their loop forms,
+    bit for bit."""
+
+    def test_pwq_min_matches_reference(self, rng):
+        cases = [(3.0, 3000.0, 1.0, 1000.0, 1000.0 + 1e-5, 1000.0 + 1e-5)]  # the tie branch
+        for _ in range(4000):
+            w2 = float(rng.integers(1, 50))
+            lam = float(rng.choice([0.0, rng.exponential()]))
+            pts = np.round(rng.normal(size=3), int(rng.integers(0, 3)))  # rounding makes ties
+            b1, b2 = [None if rng.random() < 0.2 else float(v) for v in pts[:2]]
+            cases.append((w2, w2 * pts[2], lam, b1, b2, float(rng.normal())))
+        assert _reference_pwq_min(*cases[0]) == (cases[0][5], False)
+        for args in cases:
+            v, landed = _pwq_min(*args)
+            v_ref, landed_ref = _reference_pwq_min(*args)
+            assert _same_bits(v, v_ref) and landed == landed_ref, args
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("case", ["random-walk", "rounded", "tie"])
+    def test_sweep_matches_reference(self, rng, case, reverse):
+        if case == "random-walk":
+            y = random_walk(rng, 200)
+        elif case == "rounded":  # multiples of 5: neighbouring slopes tie, b1 == b2
+            y = np.round(random_walk(rng, 200, scale=20.0) / 5.0) * 5.0
+        else:
+            y = np.cumsum(_TIE_NU)
+        lam = 1.0 if case == "tie" else 0.05 * lambda_max(y)
+        state, ref = FusedState.interpolation(y), FusedState.interpolation(y)
+        if case == "tie":
+            state.nu[:], ref.nu[:] = _TIE_NU, _TIE_NU
+        for sweep in range(6):
+            got = _descent_sweep(y, state.nu, state.resid, lam, reverse=reverse)
+            want = _reference_sweep(y, ref.nu, ref.resid, lam, reverse=reverse)
+            assert got == want, sweep
+            assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid), sweep
+        if case == "tie" and not reverse:
+            assert state.nu[2] == _TIE_NU[3]  # the tie went to the preferred neighbour
+
+    @pytest.mark.parametrize("case", ["random-walk", "rounded", "example2"])
+    def test_polish_matches_reference(self, rng, case):
+        if case == "random-walk":
+            y = random_walk(rng, 150)
+        elif case == "rounded":
+            y = np.round(random_walk(rng, 150, scale=20.0) / 5.0) * 5.0
+        else:
+            y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
+        for frac in (0.002, 0.02, 0.2):
+            lam = frac * lambda_max(y)
+            state = FusedState.interpolation(y)
+            for sweep in range(3):
+                _descent_sweep(y, state.nu, state.resid, lam, reverse=sweep % 2 == 1)
+                nu, r = state.nu.copy(), state.resid.copy()
+                got = _structure_polish(y, state.nu, state.resid, lam)
+                want = _reference_polish(y, nu, r, lam)
+                assert got == want, (frac, sweep)
+                assert _same_bits(state.nu, nu) and _same_bits(state.resid, r), (frac, sweep)
+
+    def test_collision_walk_ties_go_to_the_first_boundary(self, monkeypatch):
+        # runs start at a = 0, 1, 3, 5, 7, 9. The full step flips the penalised
+        # boundaries 2 and 4 both at tc = 0.5, so the walk merges boundary 2
+        # first. Boundary 1 (a_1 = 1) is unpenalised: its sign would flip at
+        # tc = 0.25, but it carries no sign and must not collide.
+        nu = np.repeat([5.0, 0.0, 1.0, 2.0, 3.0, 4.0], [1, 2, 2, 2, 2, 3])
+        target = np.zeros(nu.size)
+        target[[0, 1, 3, 5, 7, 9]] = [5.0, 20.0, 19.0, 20.0, 19.0, 20.0]
+        y = np.cumsum(nu) + np.linspace(-1.0, 1.0, nu.size)
+        calls = []
+
+        def run_values(a, b, cs_y, cs_ty, h, lam):
+            calls.append((a.tolist(), b.tolist(), h.tolist()))
+            return target[a]
+
+        monkeypatch.setattr(pathwise, "_run_values", run_values)
+        state = FusedState(y=y, nu=nu.copy())
+        got = _structure_polish(y, state.nu, state.resid, 0.1)
+        walk, calls[:] = list(calls), []
+        ref = FusedState(y=y, nu=nu.copy())
+        want = _reference_polish(y, ref.nu, ref.resid, 0.1)
+        assert walk == calls
+        assert [a for a, _, _ in walk] == [[0, 1, 3, 5, 7, 9], [0, 1, 5, 7, 9]]
+        assert got == want
+        assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid)
 
 
 class TestDescentUpdate:
