@@ -4,10 +4,12 @@ Works on nu (nu_1 = mu_1, nu_t = mu_t - mu_{t-1}), where the objective is
 
     f(nu) = 0.5 * ||y - X nu||^2 + lam * sum_{t=3..n} |nu_t - nu_{t-1}|
 
-with X the cumulative-sum design. The solver follows a penalty continuation:
-start from the exact lam = 0 solution (nu = first differences of y) and climb
-the lambda ladder, warm-starting each level from the last. At each level it
-repeats three moves until a round moves nothing:
+with X the cumulative-sum design. The solver follows a penalty continuation
+down from lambda_max: start from the affine least-squares fit, exact at and
+above lambda_max (nu = [mu_1, slope, slope, ...]), and descend the lambda
+ladder, warm-starting each level from the one above, so runs open by splits
+as the penalty falls. At each level it repeats three moves until a round
+moves nothing:
 
 * a descent cycle: exact 1-d minimization coordinate by coordinate, where the
   1-d profile is a quadratic plus at most two hinge terms at the neighbouring
@@ -22,10 +24,10 @@ repeats three moves until a round moves nothing:
 * a split scan that reads the residual subgradient and attempts a sub-run
   joint move exactly where its unit bound is violated inside a run.
 
-A single fit is the last entry of a path on its own continuation ladder, so
-every emitted fit comes from the same loop and carries the KKT certificate
-(kkt module); ``converged`` means the loop met its sweep rule and the
-certificate passed.
+A single fit is the lowest entry of a path on its own ladder down from
+lambda_max, so every emitted fit comes from the same loop and carries the KKT
+certificate (kkt module); ``converged`` means the loop met its sweep rule and
+the certificate passed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
-from .kkt import check_kkt, lambda_max
+from .kkt import affine_fit, check_kkt, lambda_max
 
 # Ignore coordinate moves below this relative size: they are floating-point
 # jitter and would endlessly fragment fused runs.
@@ -44,8 +46,7 @@ DEADBAND = 1e-15
 _ACCEPT_SLACK = 1e-12  # relative slack when testing "objective does not increase"
 
 SWEEPS_PER_POINT = 10  # a level's round cap is this times n
-LADDER_START = 1e-3    # a single fit's ladder starts at this share of its penalty
-LADDER_RATIO = 2.5     # and grows by this factor per rung
+LADDER_RATIO = 2.5     # a single fit's ladder grows by this factor per rung
 
 
 @dataclass
@@ -65,15 +66,6 @@ class FusedState:
     def __post_init__(self):
         if self.resid is None:
             self.resid = self.y - np.cumsum(self.nu)
-
-    @classmethod
-    def interpolation(cls, y) -> "FusedState":
-        """Exact lam = 0 state: mu = y."""
-        yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-        nu = np.empty_like(yv)
-        nu[0] = yv[0]
-        nu[1:] = np.diff(yv)
-        return cls(y=yv, nu=nu, resid=np.zeros_like(yv))
 
     def groups(self) -> list[tuple[int, int]]:
         """Maximal runs of exactly equal slope values, as (start, end) inclusive, 0-based."""
@@ -154,9 +146,9 @@ def descent_update(state: FusedState, k: int, lam: float) -> float | None:
 
 
 def fusion_update(state: FusedState, k: int, m: int, lam: float) -> tuple[bool, float | None]:
-    """Propose nu[k-m..k] = alpha (0-based, 1 <= m <= k) and accept if the joint
-    stationary value lands in its hinge interval and the objective does not
-    increase. Returns (accepted, alpha)."""
+    """Propose nu[k-m..k] = alpha (0-based, 1 <= m <= k), the exact minimiser
+    of the joint move, which may sit at a neighbour's value, and accept if the
+    objective does not increase. Returns (accepted, alpha)."""
     n = state.nu.size
     if not (1 <= m <= k) or k >= n:
         raise IndexError((k, m))
@@ -180,9 +172,7 @@ def _try_fuse(y, nu, r, lam, s, e):
     b1 = nu[s - 1] if s >= 2 else None
     b2 = nu[e + 1] if e + 1 < n else None
     prefer = nu[e + 1] if e + 1 < n else nu[e]
-    alpha, landed = _pwq_min(w2, c_lin, lam, b1, b2, prefer)
-    if not landed:
-        return False, 0.0, None
+    alpha, _ = _pwq_min(w2, c_lin, lam, b1, b2, prefer)
     if np.all(seg == alpha):
         return False, 0.0, alpha
     dmu = alpha * w - cvals
@@ -334,6 +324,8 @@ def _objective(y, mu, lam):
 def _split_scan(y, nu, r, lam, slack=1e-7):
     """Attempt one sub-run joint move where the residual subgradient exceeds
     its unit bound strictly inside a run (the structure must split there).
+    The move may carry the sub-run onto its outer neighbour's value, which
+    splits the run just the same.
 
     The trigger margin stays an order of magnitude inside the default
     certificate tolerance; a tighter margin would chase sub-certificate
@@ -392,33 +384,41 @@ def _solve_at(y, nu, r, lam, sweep_tol, max_sweeps, validate=False):
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
-    """Solve at a single penalty: the last entry of :func:`fit_path` on a
-    ladder that climbs from lam / 1e3 (lambda_max / 1e3 above lambda_max)."""
+    """Solve at a single penalty: the lowest entry of :func:`fit_path` on the
+    ladder lam, 2.5 lam, ... (each below lambda_max), then lambda_max, so the
+    solve is warm-started down from the affine fit. For lam <= 0 or
+    lam >= lambda_max the ladder is lam alone."""
     opts = opts or PathwiseOptions()
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    ladder = []
-    rung = min(lam, lambda_max(yv)) * LADDER_START
-    while 0 < rung < lam:
-        ladder.append(rung)
-        rung *= LADDER_RATIO
-    return fit_path(yv, ladder + [lam], opts.sweep_tol, opts.validate).entries[-1].fit
+    lmax = lambda_max(yv)
+    ladder = [lam]
+    if 0 < lam < lmax:
+        while ladder[-1] * LADDER_RATIO < lmax:
+            ladder.append(ladder[-1] * LADDER_RATIO)
+        ladder.append(lmax)
+    return fit_path(yv, ladder, opts.sweep_tol, opts.validate).entries[0].fit
 
 
 def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, validate: bool = False) -> LambdaPath:
-    """Fit every lambda on a strictly increasing grid, warm-starting each from
-    the previous solution; the grid spacing is the continuation step. Every
-    emitted fit carries its KKT certificate, and a fit is flagged
-    converged only when its rung met the sweep rule within 10 * n rounds and
-    the certificate passed; the path continues past a flagged rung.
+    """Fit every lambda on a strictly increasing grid. The grid is solved from
+    its largest lambda down, starting from the affine least-squares fit (exact
+    at and above lambda_max) and warm-starting each entry from the next larger
+    one; entries come back in ascending order. Every emitted fit carries its
+    KKT certificate, and a fit is flagged converged only when its rung met the
+    sweep rule within 10 * n rounds and the certificate passed; the path
+    continues past a flagged rung. At lam = 0 the fit is y itself.
     """
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
     grid = validate_grid(lambda_grid)
-    state = FusedState.interpolation(yv)
+    line = affine_fit(yv)
+    nu = np.full(yv.size, (line[-1] - line[0]) / (yv.size - 1))
+    nu[0] = line[0]  # one run after index 0: the penalty of the affine fit is 0
+    state = FusedState(y=yv, nu=nu)
     entries = []
     warm = False
-    for lam in grid:
-        if lam == 0.0:
-            mu, ok = yv.copy(), True
+    for lam in reversed(grid):
+        if lam == 0.0:  # the interpolant, not a warm start
+            mu, ok, warm = yv.copy(), True, False
         else:
             _, ok = _solve_at(yv, state.nu, state.resid, lam, sweep_tol,
                               SWEEPS_PER_POINT * yv.size, validate=validate)
@@ -427,4 +427,4 @@ def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, validate: bool = False) -
         fit_l = TrendFit.from_mu(yv, mu, lam, converged=ok and report.passed, solver="pathwise")
         entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
         warm = True
-    return LambdaPath(entries=tuple(entries))
+    return LambdaPath(entries=tuple(reversed(entries)))

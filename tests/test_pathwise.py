@@ -150,6 +150,14 @@ def _reference_polish(y, nu, r, lam):
     return rel
 
 
+def _interpolation(y):
+    """Exact lam = 0 state: mu = y."""
+    nu = np.empty_like(y)
+    nu[0] = y[0]
+    nu[1:] = np.diff(y)
+    return FusedState(y=y, nu=nu, resid=np.zeros_like(y))
+
+
 def _same_bits(x, z):
     return np.asarray(x, dtype=float).tobytes() == np.asarray(z, dtype=float).tobytes()
 
@@ -188,7 +196,7 @@ class TestReferenceEquivalence:
         else:
             y = np.cumsum(_TIE_NU)
         lam = 1.0 if case == "tie" else 0.05 * lambda_max(y)
-        state, ref = FusedState.interpolation(y), FusedState.interpolation(y)
+        state, ref = _interpolation(y), _interpolation(y)
         if case == "tie":
             state.nu[:], ref.nu[:] = _TIE_NU, _TIE_NU
         for sweep in range(6):
@@ -209,7 +217,7 @@ class TestReferenceEquivalence:
             y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
         for frac in (0.002, 0.02, 0.2):
             lam = frac * lambda_max(y)
-            state = FusedState.interpolation(y)
+            state = _interpolation(y)
             for sweep in range(3):
                 _descent_sweep(y, state.nu, state.resid, lam, reverse=sweep % 2 == 1)
                 nu, r = state.nu.copy(), state.resid.copy()
@@ -388,7 +396,7 @@ class TestFitPath:
         y = random_walk(rng, 20)
         grid = [0.0] + list(lambda_max(y) * np.array([0.1, 0.5]))
         path = fit_path(y, grid)
-        assert [e.warm_start for e in path.entries] == [False, True, True]
+        assert [e.warm_start for e in path.entries] == [False, True, False]
 
     def test_group_count_mostly_decreasing(self, rng):
         y = random_walk(rng, 60)
@@ -411,6 +419,51 @@ class TestFitPath:
         for i, entry in enumerate(path.entries):
             assert check_kkt(y, entry.fit.mu_hat, entry.lam).passed, i
             assert entry.fit.converged, i
+
+    @pytest.mark.parametrize("case", ["step", "spike", "split-at-neighbour"])
+    def test_path_certified_at_every_entry(self, case):
+        # climbing the grid up from the interpolant left entry 60 (lambda_max)
+        # of the step and entry 34 of the spike uncertified. At entry 13 of the
+        # third path the subgradient breaks its bound inside the run 678..681,
+        # whose right part must join the runs after it: each sub-run move has
+        # its minimum at a neighbour's value, and a split scan that took only
+        # interior minima left the entry uncertified
+        first = 0
+        if case == "step":
+            y = np.r_[np.zeros(100), np.ones(100)]
+        elif case == "spike":
+            y = np.zeros(201)
+            y[100] = 50.0
+        else:
+            y = add_noise(gen_trend(example2(n=800)), NoiseSpec(snr=25.0, seed=1)).y
+            first = 13
+        path = fit_path(y, default_grid(lambda_max(y))[first:])
+        for i, entry in enumerate(path.entries):
+            assert entry.kkt.passed, i
+            assert entry.fit.converged, i
+
+    def test_polish_walks_few_collisions(self, monkeypatch):
+        # warm-started down from lambda_max, each polish starts near its
+        # optimal run pattern; collapsing the interpolant's runs instead took
+        # 215 solves in one polish of this fit
+        y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
+        solves, per_polish = [0], []
+        run_values, polish = pathwise._run_values, pathwise._structure_polish
+
+        def counting_run_values(*args):
+            solves[0] += 1
+            return run_values(*args)
+
+        def counting_polish(*args):
+            solves[0] = 0
+            out = polish(*args)
+            per_polish.append(solves[0])
+            return out
+
+        monkeypatch.setattr(pathwise, "_run_values", counting_run_values)
+        monkeypatch.setattr(pathwise, "_structure_polish", counting_polish)
+        assert fit(y, lambda_max(y) / 100).converged
+        assert per_polish and max(per_polish) <= 20
 
     def test_failed_certificate_is_not_converged(self, rng, monkeypatch):
         y = random_walk(rng, 30)
