@@ -14,15 +14,21 @@ moves nothing:
 * a descent cycle: exact 1-d minimization coordinate by coordinate, where the
   1-d profile is a quadratic plus at most two hinge terms at the neighbouring
   slope values (the coordinate-wise descent of Friedman, Hastie, Hoefling &
-  Tibshirani 2007); one O(n) pass runs on Python floats with the residual's
-  suffix sums corrected in a scalar, and writes nu and r back once;
+  Tibshirani 2007). A numpy test marks the coordinates inside a run that
+  cannot move, and only the others run on Python floats, with the residual's
+  suffix sums corrected in a scalar, and r is updated once;
 * a structure polish that solves every run value jointly and exactly for the
   current pattern of equal-slope runs with frozen boundary signs (one
   tridiagonal solve, O(G) for G runs), walking sign collisions one solve per
   collision, each merging two runs; the signs and the first collision of a
-  step are numpy scans. The assembled step is kept only if f does not rise;
+  step are numpy scans, and the prefix sums of y are taken once per path.
+  The assembled step is kept only if f does not rise;
 * a split scan that reads the residual subgradient and attempts a sub-run
-  joint move exactly where its unit bound is violated inside a run.
+  joint move exactly where its unit bound is violated inside a run, visiting
+  only those positions.
+
+Away from the moving coordinates a round costs O(n) numpy work and scalar
+work in proportion to the runs and the moves.
 
 A single fit is the lowest entry of a path on its own ladder down from
 lambda_max, so every emitted fit comes from the same loop and carries the KKT
@@ -67,21 +73,17 @@ class FusedState:
         if self.resid is None:
             self.resid = self.y - np.cumsum(self.nu)
 
-    def groups(self) -> list[tuple[int, int]]:
-        """Maximal runs of exactly equal slope values, as (start, end) inclusive, 0-based."""
-        return list(zip(*(x.tolist() for x in _runs_of(self.nu))))
-
     def mu(self) -> np.ndarray:
         return np.cumsum(self.nu)
 
 
 def _runs_of(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends (inclusive) of the maximal runs of exactly equal values."""
-    cut = np.flatnonzero(np.diff(nu) != 0)
-    return np.r_[0, cut + 1], np.r_[cut, nu.size - 1]
+    cut = np.flatnonzero(nu[1:] != nu[:-1])
+    return np.concatenate(([0], cut + 1)), np.concatenate((cut, [nu.size - 1]))
 
 
-def _pwq_min(w2: float, c: float, lam: float, b1, b2, prefer: float) -> tuple[float, bool]:
+def _pwq_min(w2: float, c: float, lam: float, b1, b2, prefer: float) -> float:
     """Minimize 0.5*w2*v^2 - c*v + lam*(|v-b1| + |v-b2|); breakpoints may be None.
 
     Tries the stationary point of each interval between the sorted breakpoints
@@ -91,69 +93,32 @@ def _pwq_min(w2: float, c: float, lam: float, b1, b2, prefer: float) -> tuple[fl
     if b1 is None or b2 is None:
         b = b2 if b1 is None else b1
         if b is None:
-            return c / w2, True
+            return c / w2
         v = (c + lam) / w2
         if v <= b:
-            return v, True
+            return v
         v = (c - lam) / w2
         if v > b:
-            return v, True
-        return b, False
+            return v
+        return b
     lo, hi = (b2, b1) if b2 < b1 else (b1, b2)
     v = (c + 2.0 * lam) / w2
     if v <= lo:
-        return v, True
+        return v
     v = c / w2
     if lo < v <= hi:
-        return v, True
+        return v
     v = (c - 2.0 * lam) / w2
     if v > hi:
-        return v, True
+        return v
     if lo == hi:
-        return lo, False
+        return lo
     gap = lam * (hi - lo)  # the hinge pair's value at either breakpoint
     p0 = 0.5 * w2 * lo * lo - c * lo + gap
     p1 = 0.5 * w2 * hi * hi - c * hi + gap
     if abs(p0 - p1) <= 1e-15 * (1.0 + abs(p0)):
-        return prefer, False
-    return (lo if p0 < p1 else hi), False
-
-
-def descent_update(state: FusedState, k: int, lam: float) -> float | None:
-    """Exact single-coordinate minimization at 0-based coordinate k.
-
-    Returns the new value when the coordinate moves, None on no-change. The
-    hinge breakpoints are the current neighbouring slopes: none for k = 0,
-    only the right one for k = 1 (the first penalized difference is
-    nu_3 - nu_2), only the left one for k = n-1.
-    """
-    nu, r, y = state.nu, state.resid, state.y
-    n = nu.size
-    if not 0 <= k < n:
-        raise IndexError(k)
-    w2 = float(n - k)
-    c = w2 * nu[k] + float(r[k:].sum())
-    b1 = nu[k - 1] if k >= 2 else None
-    b2 = nu[k + 1] if (k >= 1 and k + 1 < n) else None
-    prefer = nu[k + 1] if k + 1 < n else nu[k]
-    v, _ = _pwq_min(w2, c, lam, b1, b2, prefer)
-    d = v - nu[k]
-    if d == 0.0 or abs(d) <= DEADBAND * (1.0 + abs(v)):
-        return None
-    nu[k] = v
-    r[k:] -= d
-    return v
-
-
-def fusion_update(state: FusedState, k: int, m: int, lam: float) -> tuple[bool, float | None]:
-    """Propose nu[k-m..k] = alpha (0-based, 1 <= m <= k), the exact minimiser
-    of the joint move, which may sit at a neighbour's value, and accept if the
-    objective does not increase. Returns (accepted, alpha)."""
-    n = state.nu.size
-    if not (1 <= m <= k) or k >= n:
-        raise IndexError((k, m))
-    acc, rel, alpha = _try_fuse(state.y, state.nu, state.resid, lam, k - m, k)
-    return acc, (alpha if acc else None)
+        return prefer
+    return lo if p0 < p1 else hi
 
 
 def _try_fuse(y, nu, r, lam, s, e):
@@ -172,7 +137,7 @@ def _try_fuse(y, nu, r, lam, s, e):
     b1 = nu[s - 1] if s >= 2 else None
     b2 = nu[e + 1] if e + 1 < n else None
     prefer = nu[e + 1] if e + 1 < n else nu[e]
-    alpha, _ = _pwq_min(w2, c_lin, lam, b1, b2, prefer)
+    alpha = _pwq_min(w2, c_lin, lam, b1, b2, prefer)
     if np.all(seg == alpha):
         return False, 0.0, alpha
     dmu = alpha * w - cvals
@@ -193,33 +158,56 @@ def _try_fuse(y, nu, r, lam, s, e):
 
 
 def _descent_sweep(y, nu, r, lam, reverse=False):
-    """Full cyclic descent pass in O(n): the suffix sums of the residual are
-    taken once and corrected in a scalar for the moves made so far, the pass
-    runs on Python floats, and nu and r are written back once at the end."""
+    """Full cyclic descent pass: the suffix sums of the residual are taken
+    once and corrected in a scalar for the moves made so far, each move is
+    written into nu, and r is updated once at the end.
+
+    Only coordinates that can move run through the scalar code. A coordinate
+    k inside a run (nu_{k-1} = nu_k = nu_{k+1}) stays put while its corrected
+    suffix sum S_k = suf_k - shift keeps |S_k| < 2 lam; numpy marks those with
+    |suf_k| + |shift| below 2 lam less a round-off slack. The shift is
+    delta_tot * (n - k) forward and delta_tot in reverse, so the marks are
+    redone after each move, which also releases the next coordinate."""
     n = y.size
     maxrel = 0.0
-    suf = np.cumsum(r[::-1])[::-1].tolist()
+    sufa = np.cumsum(r[::-1])[::-1]
+    w = np.arange(n, 0, -1.0)  # n - k
+    room = 2.0 * lam - 1e-12 * (w * np.abs(nu) + np.abs(sufa) + 2.0 * lam) - np.abs(sufa)
+    held = np.zeros(n, dtype=bool)
+    held[2:n - 1] = (nu[1:n - 2] == nu[2:n - 1]) & (nu[2:n - 1] == nu[3:])
+    # skip k while |delta_tot| < cap[k]; cap is kept in sweep order
+    cap = np.where(held & (room > 0.0), room if reverse else room / w, -np.inf)
+    if reverse:
+        cap = cap[::-1].copy()
+    suf = sufa.tolist()
     x = nu.tolist()
-    deltas = [0.0] * n
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    deltas = np.zeros(n)
     delta_tot = 0.0  # forward: total of earlier deltas; reverse: sum of d*(n-j)
-    for k in order:
-        S = suf[k] - (delta_tot if reverse else delta_tot * (n - k))
-        w2 = float(n - k)
-        xk = x[k]
-        nxt = x[k + 1] if k + 1 < n else None
-        v, _ = _pwq_min(w2, w2 * xk + S, lam, x[k - 1] if k >= 2 else None,
-                        nxt if k >= 1 else None, xk if nxt is None else nxt)
-        d = v - xk
-        if d != 0.0 and abs(d) > DEADBAND * (1.0 + abs(v)):
-            x[k] = v
-            deltas[k] = d
-            delta_tot += d * (n - k) if reverse else d
-            rel = abs(d) / (1.0 + abs(v))
-            if rel > maxrel:
-                maxrel = rel
+    start = 0
+    while start < n:
+        todo = np.flatnonzero(cap[start:] <= abs(delta_tot)) + start
+        start = n
+        for p in todo.tolist():
+            k = n - 1 - p if reverse else p
+            S = suf[k] - (delta_tot if reverse else delta_tot * (n - k))
+            w2 = float(n - k)
+            xk = x[k]
+            nxt = x[k + 1] if k + 1 < n else None
+            v = _pwq_min(w2, w2 * xk + S, lam, x[k - 1] if k >= 2 else None,
+                         nxt if k >= 1 else None, xk if nxt is None else nxt)
+            d = v - xk
+            if d != 0.0 and abs(d) > DEADBAND * (1.0 + abs(v)):
+                x[k] = nu[k] = v
+                deltas[k] = d
+                delta_tot += d * (n - k) if reverse else d
+                rel = abs(d) / (1.0 + abs(v))
+                if rel > maxrel:
+                    maxrel = rel
+                start = p + 1
+                if start < n:
+                    cap[start] = -np.inf
+                break
     if maxrel > 0.0:
-        nu[:] = x
         r -= np.cumsum(deltas)
     return maxrel
 
@@ -261,23 +249,30 @@ def _run_values(a, b, cs_y, cs_ty, h, lam):
     rhs = wy - hl
     rhs[:-1] += sy[1:] - wy[1:] + hl[1:]
     v = _tridiag_solve((L[1:] ** 2 - 1) / (6 * L[1:]), diag, rhs)
-    return np.diff(v, prepend=0.0) / L
+    return (v - np.concatenate(([0.0], v[:-1]))) / L
 
 
-def _structure_polish(y, nu, r, lam):
+def _prefix_sums(y):
+    """cumsum(y) and cumsum(t * y), t = 1..n, each with a leading 0: the run
+    sums of every polish of a path."""
+    cs_ty = np.cumsum(np.arange(1, y.size + 1) * y)
+    return np.concatenate([[0.0], np.cumsum(y)]), np.concatenate([[0.0], cs_ty])
+
+
+def _structure_polish(y, nu, r, lam, sums):
     """Exact run-value solve for the current fused pattern with frozen boundary
     signs; walks sign collisions (each merges two runs) until a full step fits.
     The assembled move is accepted only if the true objective does not increase.
+    ``sums`` is ``_prefix_sums(y)``, taken once per path; each step of the
+    walk is a few O(G) numpy operations and one tridiagonal solve.
     """
-    n = y.size
     a, b = _runs_of(nu)
     alpha = nu[a]
-    cs_y = np.concatenate([[0.0], np.cumsum(y)])
-    cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
+    cs_y, cs_ty = sums
     moved = False
     for _ in range(a.size + 8):
         # a run starting at a[g] >= 2 has a penalised boundary with the one before it
-        diff0 = np.diff(alpha)
+        diff0 = alpha[1:] - alpha[:-1]
         signs = np.where(a[1:] >= 2, np.sign(diff0), 0.0)
         h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
         d = _run_values(a, b, cs_y, cs_ty, h, lam) - alpha
@@ -285,7 +280,7 @@ def _structure_polish(y, nu, r, lam):
             break
         # the first boundary whose sign the full step would flip, at step tc < 1;
         # argmin takes the lowest such boundary on a tie
-        ddiff = np.diff(d)
+        ddiff = d[1:] - d[:-1]
         hit = np.flatnonzero((ddiff != 0.0) & (signs * (diff0 + ddiff) < 0))
         tc = -diff0[hit] / ddiff[hit]
         ok = (tc >= 0.0) & (tc < 1.0)
@@ -297,9 +292,9 @@ def _structure_polish(y, nu, r, lam):
         moved = True
         if collide < 0:
             break
-        a = np.delete(a, collide)
-        b = np.delete(b, collide - 1)
-        alpha = np.delete(alpha, collide)
+        a = np.concatenate((a[:collide], a[collide + 1:]))
+        b = np.concatenate((b[:collide - 1], b[collide:]))
+        alpha = np.concatenate((alpha[:collide], alpha[collide + 1:]))
     if not moved:
         return 0.0
     nu_new = np.repeat(alpha, b - a + 1)
@@ -325,7 +320,8 @@ def _split_scan(y, nu, r, lam, slack=1e-7):
     """Attempt one sub-run joint move where the residual subgradient exceeds
     its unit bound strictly inside a run (the structure must split there).
     The move may carry the sub-run onto its outer neighbour's value, which
-    splits the run just the same.
+    splits the run just the same. Only the violated positions are visited,
+    in ascending order; a violation at a run's first index is no split.
 
     The trigger margin stays an order of magnitude inside the default
     certificate tolerance; a tighter margin would chase sub-certificate
@@ -338,21 +334,21 @@ def _split_scan(y, nu, r, lam, slack=1e-7):
     viol = np.abs(graw) > lam * (1.0 + slack)
     if not np.any(viol):
         return 0.0, 0
-    for a, b in zip(*(x.tolist() for x in _runs_of(nu))):
-        if b == a:
-            continue
-        for p in range(max(a + 1, 2), b + 1):
-            if not viol[p - 2]:
-                continue
-            acc, rel, _ = _try_fuse(y, nu, r, lam, a, p - 1)
-            if not acc:
-                acc, rel, _ = _try_fuse(y, nu, r, lam, p, b)
-            if acc:
-                return rel, 1
+    # the violated positions p strictly inside their run, in ascending order
+    a, b = _runs_of(nu)
+    pos = np.flatnonzero(viol) + 2
+    g = np.searchsorted(a, pos, "right") - 1
+    inner = pos > a[g]
+    for p, s, e in zip(pos[inner].tolist(), a[g[inner]].tolist(), b[g[inner]].tolist()):
+        acc, rel, _ = _try_fuse(y, nu, r, lam, s, p - 1)
+        if not acc:
+            acc, rel, _ = _try_fuse(y, nu, r, lam, p, e)
+        if acc:
+            return rel, 1
     return 0.0, 0
 
 
-def _solve_at(y, nu, r, lam, sweep_tol, max_sweeps, validate=False):
+def _solve_at(y, nu, r, lam, sums, sweep_tol, max_sweeps, validate=False):
     """Repeat rounds of descent, structure polish and split scan at a fixed
     lambda until a full round moves nothing beyond tolerance and opens no split.
 
@@ -365,7 +361,7 @@ def _solve_at(y, nu, r, lam, sweep_tol, max_sweeps, validate=False):
     stall = 0
     for sweep in range(max_sweeps):
         m1 = _descent_sweep(y, nu, r, lam, reverse=(sweep % 2 == 1))
-        m2 = _structure_polish(y, nu, r, lam)
+        m2 = _structure_polish(y, nu, r, lam, sums)
         m3, splits = _split_scan(y, nu, r, lam)
         moved = max(m1, m2, m3)
         if moved <= sweep_tol and splits == 0:
@@ -414,13 +410,14 @@ def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, validate: bool = False) -
     nu = np.full(yv.size, (line[-1] - line[0]) / (yv.size - 1))
     nu[0] = line[0]  # one run after index 0: the penalty of the affine fit is 0
     state = FusedState(y=yv, nu=nu)
+    sums = _prefix_sums(yv)
     entries = []
     warm = False
     for lam in reversed(grid):
         if lam == 0.0:  # the interpolant, not a warm start
             mu, ok, warm = yv.copy(), True, False
         else:
-            _, ok = _solve_at(yv, state.nu, state.resid, lam, sweep_tol,
+            _, ok = _solve_at(yv, state.nu, state.resid, lam, sums, sweep_tol,
                               SWEEPS_PER_POINT * yv.size, validate=validate)
             mu = state.mu()
         report = check_kkt(yv, mu, lam)

@@ -5,21 +5,66 @@ from trendfilter import pathwise
 from trendfilter.core import extract_kinks, objective_value
 from trendfilter.kkt import KktReport, affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter.pathwise import (
+    DEADBAND,
     FusedState,
     PathwiseOptions,
-    descent_update,
     fit,
     fit_path,
-    fusion_update,
     _descent_sweep,
+    _prefix_sums,
     _pwq_min,
     _run_values,
+    _runs_of,
     _solve_at,
+    _split_scan,
     _structure_polish,
+    _try_fuse,
 )
 from trendfilter.selection import default_grid
 from trendfilter.simulate import NoiseSpec, PiecewiseLinearSpec, add_noise, example2, gen_trend
 from tests.conftest import random_walk
+
+
+def descent_update(state: FusedState, k: int, lam: float) -> float | None:
+    """Exact single-coordinate minimization at 0-based coordinate k.
+
+    Returns the new value when the coordinate moves, None on no-change. The
+    hinge breakpoints are the current neighbouring slopes: none for k = 0,
+    only the right one for k = 1 (the first penalized difference is
+    nu_3 - nu_2), only the left one for k = n-1.
+    """
+    nu, r = state.nu, state.resid
+    n = nu.size
+    if not 0 <= k < n:
+        raise IndexError(k)
+    w2 = float(n - k)
+    c = w2 * nu[k] + float(r[k:].sum())
+    b1 = nu[k - 1] if k >= 2 else None
+    b2 = nu[k + 1] if (k >= 1 and k + 1 < n) else None
+    prefer = nu[k + 1] if k + 1 < n else nu[k]
+    v = _pwq_min(w2, c, lam, b1, b2, prefer)
+    d = v - nu[k]
+    if d == 0.0 or abs(d) <= DEADBAND * (1.0 + abs(v)):
+        return None
+    nu[k] = v
+    r[k:] -= d
+    return v
+
+
+def fusion_update(state: FusedState, k: int, m: int, lam: float) -> tuple[bool, float | None]:
+    """Propose nu[k-m..k] = alpha (0-based, 1 <= m <= k), the exact minimiser
+    of the joint move, which may sit at a neighbour's value, and accept if the
+    objective does not increase. Returns (accepted, alpha)."""
+    n = state.nu.size
+    if not (1 <= m <= k) or k >= n:
+        raise IndexError((k, m))
+    acc, _, alpha = _try_fuse(state.y, state.nu, state.resid, lam, k - m, k)
+    return acc, (alpha if acc else None)
+
+
+def groups(state: FusedState) -> list[tuple[int, int]]:
+    """Maximal runs of exactly equal slope values, as (start, end) inclusive, 0-based."""
+    return list(zip(*(x.tolist() for x in _runs_of(state.nu))))
 
 
 def brute_1d_min(y, nu, k, lam, halfwidth=3.0, points=20001):
@@ -89,17 +134,48 @@ def _reference_sweep(y, nu, r, lam, reverse=False):
     return maxrel
 
 
+def _loop_runs(nu):
+    """Maximal runs of exactly equal values, (start, end) inclusive, in a loop."""
+    runs = []
+    s = 0
+    for i in range(1, nu.size):
+        if nu[i] != nu[s]:
+            runs.append((s, i - 1))
+            s = i
+    runs.append((s, nu.size - 1))
+    return runs
+
+
+def _reference_split_scan(y, nu, r, lam, slack=1e-7):
+    """The split scan as a loop over every coordinate of every run: the first
+    violated position strictly inside a run, in ascending order, whose
+    left or right sub-run move is accepted."""
+    n = y.size
+    if lam <= 0:
+        return 0.0, 0
+    graw = np.cumsum(np.cumsum(r))[:n - 2]
+    viol = np.abs(graw) > lam * (1.0 + slack)
+    if not np.any(viol):
+        return 0.0, 0
+    for a, b in _loop_runs(nu):
+        if b == a:
+            continue
+        for p in range(max(a + 1, 2), b + 1):
+            if not viol[p - 2]:
+                continue
+            acc, rel, _ = _try_fuse(y, nu, r, lam, a, p - 1)
+            if not acc:
+                acc, rel, _ = _try_fuse(y, nu, r, lam, p, b)
+            if acc:
+                return rel, 1
+    return 0.0, 0
+
+
 def _reference_polish(y, nu, r, lam):
     """The structure polish with its runs, boundary signs and collision scan
     in Python loops; the first collision wins a tie (strict <)."""
     n = y.size
-    runs = []
-    s = 0
-    for i in range(1, n):
-        if nu[i] != nu[s]:
-            runs.append((s, i - 1))
-            s = i
-    runs.append((s, n - 1))
+    runs = _loop_runs(nu)
     a = np.array([s for s, _ in runs])
     b = np.array([e for _, e in runs])
     alpha = nu[a]
@@ -158,6 +234,41 @@ def _interpolation(y):
     return FusedState(y=y, nu=nu, resid=np.zeros_like(y))
 
 
+def _affine_start(y):
+    """The first state of fit_path: the affine least-squares fit, one run
+    after index 0."""
+    line = affine_fit(y)
+    nu = np.full(y.size, (line[-1] - line[0]) / (y.size - 1))
+    nu[0] = line[0]
+    return FusedState(y=y, nu=nu)
+
+
+def _fused_states(y, fracs):
+    """(y, nu, r, lam): the affine start to be swept at fracs[0] * lambda_max,
+    then the solver's state at each frac down the path, to be swept at the
+    next one."""
+    lmax, sums = lambda_max(y), _prefix_sums(y)
+    state = _affine_start(y)
+    out = [(y, state.nu.copy(), state.resid.copy(), fracs[0] * lmax)]
+    for frac, nxt in zip(fracs, fracs[1:]):
+        _solve_at(y, state.nu, state.resid, frac * lmax, sums, 1e-10, 10 * y.size)
+        out.append((y, state.nu.copy(), state.resid.copy(), nxt * lmax))
+    return out
+
+
+def _spiked_states(rng, count):
+    """(y, nu, r, lam): random run patterns with a few large residual spikes,
+    so that moves early in a sweep push held coordinates later in it over
+    their bound."""
+    out = []
+    for _ in range(count):
+        nu = np.repeat(rng.normal(size=8), rng.integers(1, 12, size=8))
+        r = np.zeros(nu.size)
+        r[rng.integers(0, nu.size, size=3)] = rng.normal(0.0, 3.0, size=3)
+        out.append((np.cumsum(nu) + r, nu, r, float(rng.uniform(0.2, 2.0))))
+    return out
+
+
 def _same_bits(x, z):
     return np.asarray(x, dtype=float).tobytes() == np.asarray(z, dtype=float).tobytes()
 
@@ -182,9 +293,8 @@ class TestReferenceEquivalence:
             cases.append((w2, w2 * pts[2], lam, b1, b2, float(rng.normal())))
         assert _reference_pwq_min(*cases[0]) == (cases[0][5], False)
         for args in cases:
-            v, landed = _pwq_min(*args)
-            v_ref, landed_ref = _reference_pwq_min(*args)
-            assert _same_bits(v, v_ref) and landed == landed_ref, args
+            v_ref, _ = _reference_pwq_min(*args)
+            assert _same_bits(_pwq_min(*args), v_ref), args
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("case", ["random-walk", "rounded", "tie"])
@@ -207,6 +317,100 @@ class TestReferenceEquivalence:
         if case == "tie" and not reverse:
             assert state.nu[2] == _TIE_NU[3]  # the tie went to the preferred neighbour
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("case", ["example2", "custom", "random-walk", "spiked"])
+    def test_sweep_matches_reference_from_fused_states(self, rng, monkeypatch, case, reverse):
+        # fused states hold most coordinates inside runs, where the sweep
+        # skips them; moves made earlier in a sweep shift the suffix sums the
+        # later coordinates see, and a mover frees its next neighbour
+        fracs = (0.5, 0.1, 0.02, 0.004, 0.001)
+        if case == "example2":
+            y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
+            states = _fused_states(y, fracs)
+        elif case == "custom":
+            spec = PiecewiseLinearSpec(n=400, r=tuple(k / 9 for k in range(1, 9)),
+                                       b=(-20.0, 15.0, -10.0, 25.0, -15.0, 10.0, -25.0, 20.0, -5.0))
+            states = _fused_states(add_noise(gen_trend(spec), NoiseSpec(snr=25.0, seed=1)).y, fracs)
+        elif case == "random-walk":
+            states = _fused_states(random_walk(rng, 250), fracs)
+        else:
+            states = _spiked_states(rng, 60)
+        calls, pwq_min = [0], pathwise._pwq_min
+
+        def counting_pwq_min(*args):
+            calls[0] += 1
+            return pwq_min(*args)
+
+        monkeypatch.setattr(pathwise, "_pwq_min", counting_pwq_min)
+        passed = moved = 0
+        for y, nu, r, lam in states:
+            state = FusedState(y=y, nu=nu.copy(), resid=r.copy())
+            ref = FusedState(y=y, nu=nu.copy(), resid=r.copy())
+            for sweep in range(4):
+                got = _descent_sweep(y, state.nu, state.resid, lam, reverse=reverse)
+                passed += y.size
+                want = _reference_sweep(y, ref.nu, ref.resid, lam, reverse=reverse)
+                assert got == want, (lam, sweep)
+                assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid), (lam, sweep)
+                moved += got > 0.0
+        assert moved >= 5
+        assert calls[0] < (0.9 if case == "spiked" else 0.5) * passed  # the sweeps did skip
+
+    @pytest.mark.parametrize("rel", [-1e-13, 1e-13])
+    def test_sweep_at_the_skip_bound(self, rng, rel):
+        # a reverse sweep from one run after index 0: the last coordinate
+        # stays put, so coordinate n - 2, inside the run, sees
+        # S = r_{n-2} + r_{n-1} with no shift, and |S| sits rel away from
+        # 2 lam: the coordinate moves for rel > 0, and must not be skipped
+        n = 50
+        nu0 = np.r_[1.0, np.full(n - 1, 0.3)]
+        y = np.cumsum(nu0) + 0.1 * rng.normal(size=n)
+        y[-2] += 3.0
+        state = FusedState(y=y, nu=nu0.copy())
+        S = np.cumsum(state.resid[::-1])[::-1][n - 2]
+        lam = abs(S) / (2.0 * (1.0 + rel))
+        assert abs(state.resid[-1]) < 0.5 * lam
+        ref = FusedState(y=y, nu=nu0.copy(), resid=state.resid.copy())
+        got = _descent_sweep(y, state.nu, state.resid, lam, reverse=True)
+        want = _reference_sweep(y, ref.nu, ref.resid, lam, reverse=True)
+        assert got == want
+        assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid)
+        assert (state.nu[n - 2] != nu0[n - 2]) == (rel > 0)
+        assert state.nu[n - 1] == nu0[n - 1]
+
+    def test_split_scan_matches_reference(self, rng):
+        # random run patterns with violations in several runs, at single-point
+        # runs, and at a run's first index (which is no split and is skipped)
+        seen = {"several runs": 0, "single-point run": 0, "run start first": 0}
+        for trial in range(400):
+            lengths = rng.integers(1, 7, size=int(rng.integers(2, 10)))
+            n = int(lengths.sum())
+            if n < 4:
+                continue
+            nu = np.repeat(rng.normal(size=lengths.size), lengths)
+            y = np.cumsum(nu) + rng.normal(0.0, 0.5, n)
+            r = y - np.cumsum(nu)
+            graw = np.abs(np.cumsum(np.cumsum(r))[:n - 2])
+            lam = float(np.quantile(graw, rng.choice([0.1, 0.5, 0.8, 0.95]))) / (1.0 + 1e-7)
+            viol = np.flatnonzero(graw > lam * (1.0 + 1e-7)) + 2
+            starts = {a for a, _ in _loop_runs(nu)}
+            run_of = {p: a for a, b in _loop_runs(nu) for p in range(a, b + 1)}
+            inner = [p for p in viol if p not in starts]
+            seen["several runs"] += len({run_of[p] for p in inner}) >= 2
+            seen["single-point run"] += any(p in starts and p + 1 in starts for p in viol)
+            seen["run start first"] += bool(inner) and viol[0] in starts
+            state = FusedState(y=y, nu=nu.copy(), resid=r.copy())
+            ref = FusedState(y=y, nu=nu.copy(), resid=r.copy())
+            got = _split_scan(y, state.nu, state.resid, lam)
+            want = _reference_split_scan(y, ref.nu, ref.resid, lam)
+            assert got == want, trial
+            assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid), trial
+        assert min(seen.values()) > 0, seen
+        y = random_walk(rng, 30)
+        state = FusedState(y=y, nu=np.full(30, 0.1))
+        assert _split_scan(y, state.nu, state.resid, 0.0) == _reference_split_scan(
+            y, state.nu, state.resid, 0.0) == (0.0, 0)
+
     @pytest.mark.parametrize("case", ["random-walk", "rounded", "example2"])
     def test_polish_matches_reference(self, rng, case):
         if case == "random-walk":
@@ -221,7 +425,7 @@ class TestReferenceEquivalence:
             for sweep in range(3):
                 _descent_sweep(y, state.nu, state.resid, lam, reverse=sweep % 2 == 1)
                 nu, r = state.nu.copy(), state.resid.copy()
-                got = _structure_polish(y, state.nu, state.resid, lam)
+                got = _structure_polish(y, state.nu, state.resid, lam, _prefix_sums(y))
                 want = _reference_polish(y, nu, r, lam)
                 assert got == want, (frac, sweep)
                 assert _same_bits(state.nu, nu) and _same_bits(state.resid, r), (frac, sweep)
@@ -243,7 +447,7 @@ class TestReferenceEquivalence:
 
         monkeypatch.setattr(pathwise, "_run_values", run_values)
         state = FusedState(y=y, nu=nu.copy())
-        got = _structure_polish(y, state.nu, state.resid, 0.1)
+        got = _structure_polish(y, state.nu, state.resid, 0.1, _prefix_sums(y))
         walk, calls[:] = list(calls), []
         ref = FusedState(y=y, nu=nu.copy())
         want = _reference_polish(y, ref.nu, ref.resid, 0.1)
@@ -309,7 +513,7 @@ class TestDescentUpdate:
         f_star = objective_value(y, mu_star, lam)
         for trial in range(5):
             state = FusedState(y=y, nu=rng.normal(size=6))
-            _solve_at(y, state.nu, state.resid, lam, 1e-12, 600)
+            _solve_at(y, state.nu, state.resid, lam, _prefix_sums(y), 1e-12, 600)
             f = objective_value(y, state.mu(), lam)
             assert f == pytest.approx(f_star, rel=1e-6)
 
@@ -321,7 +525,7 @@ class TestFusionUpdate:
         lam = 0.5 * lambda_max(y)
         res = fit(y, lam)
         state = FusedState(y=y, nu=res.nu_hat.copy())
-        runs = state.groups()
+        runs = groups(state)
         run = max(runs, key=lambda ab: ab[1] - ab[0])
         a, b = run
         if b > a:
@@ -402,7 +606,7 @@ class TestFitPath:
         y = random_walk(rng, 60)
         grid = list(lambda_max(y) * np.logspace(-4, 0, 25))
         path = fit_path(y, grid)
-        counts = [len(FusedState(y=y, nu=e.fit.nu_hat.copy()).groups()) for e in path.entries]
+        counts = [len(groups(FusedState(y=y, nu=e.fit.nu_hat.copy()))) for e in path.entries]
         drops = sum(1 for a, b in zip(counts, counts[1:]) if b <= a)
         assert drops >= 0.95 * (len(counts) - 1)
 
@@ -464,6 +668,32 @@ class TestFitPath:
         monkeypatch.setattr(pathwise, "_structure_polish", counting_polish)
         assert fit(y, lambda_max(y) / 100).converged
         assert per_polish and max(per_polish) <= 20
+
+    def test_descent_sweeps_skip_held_coordinates(self, monkeypatch):
+        # down a long path almost every coordinate sits inside a run that
+        # cannot move: the sweeps may run the scalar minimiser on at most 10 %
+        # of the coordinates they pass
+        y = add_noise(gen_trend(example2(n=2000)), NoiseSpec(snr=400.0, seed=(1, 0, 0))).y
+        calls, passed, inside = [0], [0], [False]
+        pwq_min, sweep = pathwise._pwq_min, pathwise._descent_sweep
+
+        def counting_pwq_min(*args):
+            calls[0] += inside[0]
+            return pwq_min(*args)
+
+        def counting_sweep(y, nu, r, lam, reverse=False):
+            passed[0] += y.size
+            inside[0] = True
+            try:
+                return sweep(y, nu, r, lam, reverse)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(pathwise, "_pwq_min", counting_pwq_min)
+        monkeypatch.setattr(pathwise, "_descent_sweep", counting_sweep)
+        path = fit_path(y, default_grid(lambda_max(y)))
+        assert all(e.fit.converged for e in path.entries)
+        assert passed[0] > 0 and calls[0] <= 0.10 * passed[0], (calls[0], passed[0])
 
     def test_failed_certificate_is_not_converged(self, rng, monkeypatch):
         y = random_walk(rng, 30)
