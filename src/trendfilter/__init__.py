@@ -18,10 +18,7 @@ from .core import (
     objective_value,
 )
 from .design import (
-    DesignX,
     DesignZ,
-    build_design_X,
-    build_design_Z,
     irrepresentable_holds,
     irrepresentable_vectors,
     second_diff,
@@ -46,8 +43,8 @@ from .simulate import (
 __all__ = [
     "TimeSeries", "TrendFit", "KinkSet", "LambdaPath", "PathEntry",
     "extract_kinks", "objective_value",
-    "DesignX", "DesignZ", "build_design_X", "build_design_Z", "second_diff",
-    "spectral_check", "irrepresentable_vectors", "irrepresentable_holds",
+    "DesignZ", "second_diff", "spectral_check", "irrepresentable_vectors",
+    "irrepresentable_holds",
     "KktReport", "check_kkt", "affine_fit", "lambda_max", "oracle_solve",
     "SelectionScore", "score", "select", "default_grid",
     "PiecewiseLinearSpec", "NoiseSpec", "ExperimentConfig",

@@ -260,7 +260,7 @@ def cmd_check(args) -> int:
         raise CliError(f"fit length {mu.size} does not match series length {y.n}")
     if args.lam is None or args.lam <= 0:
         raise CliError("--lambda must be > 0 for certification")
-    report = check_kkt(y, mu, args.lam, tol=args.tol)
+    report = check_kkt(y, mu, args.lam, tol=args.tol, tol_kink=args.tol_kink)
     out = _outpath(args, "kkt.csv")
     io.write_kkt_csv(out, report, args.lam, args_echo=_args_echo(args))
     print(f"passed={report.passed} max_inactive_ratio={report.max_inactive_ratio:.6g} "
@@ -308,17 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="trendfilter",
                                 description="L1 trend filtering: fit, tune, simulate, certify.")
     p.add_argument("--version", action="version", version=f"trendfilter {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    # no prefix matching of flags, so `path --tol` cannot pass as --tol-kink
+    sub = p.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
-    def add_common(sp, input_required=True):
-        sp.add_argument("--input", required=input_required, help="series CSV (1 or 2 columns)")
+    def add_common(sp, tol_help=None):
+        sp.add_argument("--input", required=True, help="series CSV (1 or 2 columns)")
         sp.add_argument("--output", default=None, help="output path (default: TRENDFILTER_OUTDIR)")
-        sp.add_argument("--tol", type=float, default=1e-6, help="tolerance knob")
+        if tol_help:
+            sp.add_argument("--tol", type=float, default=1e-6, help=tol_help)
         sp.add_argument("--tol-kink", type=float, default=1e-8, dest="tol_kink",
                         help="relative threshold for calling a slope change a kink")
 
     sp = sub.add_parser("fit", help="fit one penalty level")
-    add_common(sp)
+    add_common(sp, "sweep tolerance of the pathwise route (capped at 1e-9)")
     sp.add_argument("--lambda", type=float, default=None, dest="lam")
     sp.add_argument("--lambda-rel", type=float, default=None, dest="lambda_rel",
                     help="lambda as a fraction of lambda_max(y)")
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("check", help="certify a fit CSV against the KKT conditions")
-    add_common(sp)
+    add_common(sp, "tolerance of the KKT certificate")
     sp.add_argument("--fit", required=True, help="fit CSV from the fit subcommand")
     sp.add_argument("--lambda", type=float, default=None, dest="lam", required=True)
     sp.set_defaults(func=cmd_check)
@@ -365,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "0 allowed for the affine pair (the first two)")
     sp.add_argument("--paper-example", action="store_true", dest="paper_example",
                     help="built-in n=10, kink column 5, all four sign cases")
-    sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_irrep)
     return p
 

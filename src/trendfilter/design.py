@@ -1,17 +1,12 @@
-"""Linear operators for the two solver formulations and design-matrix diagnostics.
+"""The slope-change design of the lasso route and design-matrix diagnostics.
 
-Two designs appear throughout:
+``DesignZ`` -- column 1 is all ones; column j >= 2 ramps 1, 2, 3, ...
+starting at row j. ``Z @ b`` reconstructs the mean vector from (level, first
+slope, slope changes).
 
-* ``DesignX`` -- lower-triangular matrix of ones. ``X @ v`` is the prefix sum
-  of ``v``, so a piecewise-constant slope vector maps to a piecewise-linear
-  mean vector.
-* ``DesignZ`` -- column 1 is all ones; column j >= 2 ramps 1, 2, 3, ...
-  starting at row j. ``Z @ b`` reconstructs the mean vector from
-  (level, first slope, slope changes).
-
-Both expose matrix-free products in O(n); ``DesignZ`` also gives any block of
-its Gram matrix in closed form. Dense materialization is for desk-scale
-diagnostics and reference tests only.
+It exposes matrix-free products in O(n) and gives any block of its Gram matrix
+in closed form, which is all the solvers and the irrepresentable-condition
+report need. Dense materialization is for reference tests only.
 """
 
 from __future__ import annotations
@@ -57,34 +52,6 @@ def second_diff_adjoint(g: np.ndarray, n: int) -> np.ndarray:
     out[1:-1] -= 2.0 * g
     out[2:] += g
     return out
-
-
-@dataclass(frozen=True)
-class DesignX:
-    """Cumulative-sum operator: x_tj = 1 for j <= t, else 0."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidDimensionError("n must be >= 1")
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.size != self.n:
-            raise InvalidDimensionError(f"expected length {self.n}, got {v.size}")
-        return np.cumsum(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.size != self.n:
-            raise InvalidDimensionError(f"expected length {self.n}, got {v.size}")
-        return np.cumsum(v[::-1])[::-1]
-
-    def dense(self) -> np.ndarray:
-        if self.n > DENSE_LIMIT:
-            raise InvalidDimensionError(f"dense X capped at n={DENSE_LIMIT}")
-        return np.tril(np.ones((self.n, self.n)))
 
 
 @dataclass(frozen=True)
@@ -140,13 +107,15 @@ class DesignZ:
         out[1:] = m * (m + 1) * (2 * m + 1) / 6.0
         return out
 
-    def gram(self, cols) -> np.ndarray:
-        """Z_S' Z_S in closed form for 0-based columns S; the diagonal is
-        :meth:`column_norms_sq`. Column j >= 1 is the ramp 1..L_j (L_j = n - j)
-        from row j, so z_i'z_j = sum_{a<=L_j} a (a + j - i) for i <= j, and the
-        ones column meets ramp j in L_j (L_j + 1) / 2."""
+    def gram(self, cols, rows=None) -> np.ndarray:
+        """Z_R' Z_S in closed form for 0-based columns S and R (R = S by
+        default); the diagonal of Z_S' Z_S is :meth:`column_norms_sq`. Column
+        j >= 1 is the ramp 1..L_j (L_j = n - j) from row j, so
+        z_i'z_j = sum_{a<=L_j} a (a + j - i) for i <= j, and the ones column
+        meets ramp j in L_j (L_j + 1) / 2."""
         c = np.asarray(cols, dtype=float)
-        lo, hi = np.minimum.outer(c, c), np.maximum.outer(c, c)
+        r = c if rows is None else np.asarray(rows, dtype=float)
+        lo, hi = np.minimum.outer(r, c), np.maximum.outer(r, c)
         L = self.n - hi
         s1 = L * (L + 1) / 2.0
         G = L * (L + 1) * (2 * L + 1) / 6.0 + (hi - lo) * s1
@@ -166,24 +135,19 @@ class DesignZ:
         return Z
 
 
-def build_design_X(n: int) -> DesignX:
-    return DesignX(n)
-
-
-def build_design_Z(n: int) -> DesignZ:
-    return DesignZ(n)
-
-
 def spectral_check(n: int) -> tuple[float, float]:
     """(smallest eigenvalue of Z'Z/n, max row energy z_t'z_t/n).
 
-    Dense symmetric eigensolve; intended for desk-scale diagnostics only.
+    Z'Z is the closed-form Gram matrix, but its symmetric eigensolve is dense
+    and O(n^2) in memory, so n is capped at ``DENSE_LIMIT``. The largest row
+    energy is the last row's, (1, n-1, n-2, ..., 1).
     """
     if n < 2:
         raise InvalidDimensionError("n must be >= 2")
-    Z = DesignZ(n).dense()
-    rho1 = float(np.linalg.eigvalsh(Z.T @ Z / n)[0])
-    max_row_energy = float(np.max(np.einsum("ij,ij->i", Z, Z)) / n)
+    if n > DENSE_LIMIT:
+        raise InvalidDimensionError(f"spectral_check capped at n={DENSE_LIMIT} (dense eigensolve)")
+    rho1 = float(np.linalg.eigvalsh(DesignZ(n).gram(range(n)) / n)[0])
+    max_row_energy = (1 + (n - 1) * n * (2 * n - 1) // 6) / n
     return rho1, max_row_energy
 
 
@@ -201,22 +165,24 @@ def irrepresentable_vectors(n: int, kink_columns) -> IrrepSystem:
     """Cross-correlation rows used by the componentwise sign-recovery condition.
 
     ``kink_columns`` are 1-based column indices of Z in {3..n}; columns 1 and 2
-    (the affine part) always belong to the retained block Z1.
+    (the affine part) always belong to the retained block Z1. Both Gram
+    blocks are closed-form, so memory is O(n k) for k kinks.
     """
+    if n < 2:
+        raise InvalidDimensionError("n must be >= 2")
     kinks = sorted(int(c) for c in kink_columns)
     for c in kinks:
         if not 3 <= c <= n:
             raise InvalidIndexError(f"kink column {c} outside 3..{n}")
     if len(set(kinks)) != len(kinks):
         raise InvalidIndexError("duplicate kink columns")
-    Z = DesignZ(n).dense()
     z1 = [1, 2] + kinks
-    z2 = [j for j in range(1, n + 1) if j not in z1]
-    Z1 = Z[:, [j - 1 for j in z1]]
-    Z2 = Z[:, [j - 1 for j in z2]]
-    G = Z1.T @ Z1
+    retained = set(z1)
+    z2 = [j for j in range(1, n + 1) if j not in retained]
+    Z = DesignZ(n)
+    c1, c2 = np.subtract(z1, 1), np.subtract(z2, 1)
     try:
-        M = np.linalg.solve(G, Z1.T @ Z2).T
+        M = np.linalg.solve(Z.gram(c1), Z.gram(c2, rows=c1)).T
     except np.linalg.LinAlgError as e:
         raise SingularDesignError(str(e)) from e
     return IrrepSystem(n=n, z1_columns=tuple(z1), z2_columns=tuple(z2), M=M)

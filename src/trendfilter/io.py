@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import json
 import math
 import os
 import stat
@@ -20,7 +21,7 @@ from dataclasses import asdict
 from . import __version__
 from .core import KinkSet, TimeSeries, TrendFit
 from .selection import SelectionScore
-from .simulate import ExperimentResult, noise_label
+from .simulate import RNG_IDENTITY, ExperimentResult, noise_label
 
 
 class SeriesParseError(ValueError):
@@ -144,13 +145,8 @@ def write_experiment_csv(path, result: ExperimentResult, args_echo: str = "") ->
     _write_text(path, buf.getvalue())
 
 
-def write_experiment_metadata(path, result: ExperimentResult, args_echo: str = "",
-                              extra: dict | None = None) -> None:
+def write_experiment_metadata(path, result: ExperimentResult, args_echo: str = "") -> None:
     """JSON sidecar: config echo, tool version, RNG identity, per-rep rows."""
-    import json
-
-    from .simulate import RNG_IDENTITY
-
     cfg = result.config
     payload = {
         "tool": f"trendfilter {__version__}",
@@ -180,8 +176,6 @@ def write_experiment_metadata(path, result: ExperimentResult, args_echo: str = "
                       for k, v in sorted(result.aggregate.items())},
         "rows": [asdict(m) for m in result.rows],
     }
-    if extra:
-        payload.update(extra)
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
 
 

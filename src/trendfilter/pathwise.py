@@ -58,7 +58,6 @@ LADDER_RATIO = 2.5     # a single fit's ladder grows by this factor per rung
 @dataclass
 class PathwiseOptions:
     sweep_tol: float = 1e-10
-    validate: bool = False             # assert objective monotonicity per round
 
 
 @dataclass
@@ -348,7 +347,7 @@ def _split_scan(y, nu, r, lam, slack=1e-7):
     return 0.0, 0
 
 
-def _solve_at(y, nu, r, lam, sums, sweep_tol, max_sweeps, validate=False):
+def _solve_at(y, nu, r, lam, sums, sweep_tol, max_sweeps):
     """Repeat rounds of descent, structure polish and split scan at a fixed
     lambda until a full round moves nothing beyond tolerance and opens no split.
 
@@ -367,8 +366,6 @@ def _solve_at(y, nu, r, lam, sums, sweep_tol, max_sweeps, validate=False):
         if moved <= sweep_tol and splits == 0:
             return sweep + 1, True
         f_now = _objective(y, np.cumsum(nu), lam)
-        if validate and f_now > f_prev + 1e-9 * (1.0 + abs(f_prev)):
-            raise AssertionError(f"objective increased within a round: {f_prev} -> {f_now}")
         if f_prev - f_now <= 1e-14 * (1.0 + abs(f_now)) and moved <= 1e-6:
             stall += 1
             if stall >= 5:
@@ -392,10 +389,10 @@ def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
         while ladder[-1] * LADDER_RATIO < lmax:
             ladder.append(ladder[-1] * LADDER_RATIO)
         ladder.append(lmax)
-    return fit_path(yv, ladder, opts.sweep_tol, opts.validate).entries[0].fit
+    return fit_path(yv, ladder, opts.sweep_tol).entries[0].fit
 
 
-def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, validate: bool = False) -> LambdaPath:
+def fit_path(y, lambda_grid, sweep_tol: float = 1e-10) -> LambdaPath:
     """Fit every lambda on a strictly increasing grid. The grid is solved from
     its largest lambda down, starting from the affine least-squares fit (exact
     at and above lambda_max) and warm-starting each entry from the next larger
@@ -418,7 +415,7 @@ def fit_path(y, lambda_grid, sweep_tol: float = 1e-10, validate: bool = False) -
             mu, ok, warm = yv.copy(), True, False
         else:
             _, ok = _solve_at(yv, state.nu, state.resid, lam, sums, sweep_tol,
-                              SWEEPS_PER_POINT * yv.size, validate=validate)
+                              SWEEPS_PER_POINT * yv.size)
             mu = state.mu()
         report = check_kkt(yv, mu, lam)
         fit_l = TrendFit.from_mu(yv, mu, lam, converged=ok and report.passed, solver="pathwise")

@@ -341,6 +341,19 @@ class TestCheck:
         assert main(["check", "--input", str(p), "--fit", str(corrupted),
                      "--lambda", repr(lam), "--output", str(tmp_path / "kkt.csv")]) == 4
 
+    def test_tol_kink_reaches_the_certificate(self, tmp_path, noisy_line):
+        # at --tol-kink 0 the round-off second differences of the written fit
+        # count as kinks, and their subgradients are not at +-1
+        p, y = noisy_line
+        fit_out = tmp_path / "fit.csv"
+        lam = 0.2 * lambda_max(y)
+        main(["fit", "--input", str(p), "--lambda", repr(lam), "--output", str(fit_out)])
+        kkt_out = tmp_path / "kkt.csv"
+        assert main(["check", "--input", str(p), "--fit", str(fit_out), "--lambda", repr(lam),
+                     "--tol-kink", "0", "--output", str(kkt_out)]) == 4
+        header, rows = _read_table(kkt_out)
+        assert int(rows[0][header.index("active_sign_mismatches")]) > 0
+
     def test_lambda_mismatch_fails(self, tmp_path, noisy_line):
         p, y = noisy_line
         fit_out = tmp_path / "fit.csv"
@@ -381,6 +394,33 @@ class TestIrrep:
 
     def test_out_of_range_kink_exits_2(self):
         assert main(["irrep", "--n", "10", "--kinks", "2"]) == 2
+
+    def test_n_below_two_exits_2(self, capsys):
+        assert main(["irrep", "--n", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: n must be >= 2\n"
+
+    def test_no_size_cap(self, capsys):
+        # the dense design used to cap this report at n = 2000
+        assert main(["irrep", "--n", "2500", "--kinks", "100,200", "--signs", "0,0,1,-1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("n=2500 retained_columns=[1, 2, 100, 200]\n")
+        assert out.count("a[col") == 2496
+        assert "s1=(0, 0, 1, -1): holds=" in out
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["irrep", "--n", "10", "--output", "m.txt"],
+        ["path", "--input", "y.csv", "--tol", "1e-6"],
+        ["select", "--input", "y.csv", "--tol", "1e-6"],
+    ], ids=["irrep-output", "path-tol", "select-tol"])
+    def test_unread_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
 
 class TestOutdirEnv:

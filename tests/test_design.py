@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from trendfilter.core import extract_kinks
 from trendfilter.design import (
+    DENSE_LIMIT,
+    DesignZ,
     InvalidDimensionError,
     InvalidIndexError,
-    build_design_X,
-    build_design_Z,
     irrepresentable_holds,
     irrepresentable_vectors,
     second_diff,
@@ -22,69 +22,39 @@ from trendfilter.simulate import example1, example2, gen_trend
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 
 
-class TestDesignX:
-    def test_prefix_sum_of_ones(self):
-        X = build_design_X(3)
-        assert np.array_equal(X.matvec([1.0, 1.0, 1.0]), [1.0, 2.0, 3.0])
-
-    def test_degenerate_size(self):
-        assert np.array_equal(build_design_X(1).dense(), [[1.0]])
-
-    def test_constant_extension(self):
-        X = build_design_X(4)
-        assert np.array_equal(X.matvec([2.0, 0.0, 0.0, 0.0]), [2.0, 2.0, 2.0, 2.0])
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(InvalidDimensionError):
-            build_design_X(0)
-
-    def test_matvec_matches_dense(self, rng):
-        X = build_design_X(17)
-        v = rng.normal(size=17)
-        D = X.dense()
-        assert np.allclose(X.matvec(v), D @ v)
-        assert np.allclose(X.rmatvec(v), D.T @ v)
-
-    def test_row_structure(self):
-        D = build_design_X(6).dense()
-        for t in range(6):
-            assert D[t].sum() == t + 1  # row t has exactly t+1 ones
-        assert np.array_equal(D, np.tril(D))
-
-
 class TestDesignZ:
     def test_n3_rows(self):
-        Z = build_design_Z(3).dense()
+        Z = DesignZ(3).dense()
         assert np.array_equal(Z, [[1, 0, 0], [1, 1, 0], [1, 2, 1]])
 
     def test_affine_reconstruction(self):
-        Z = build_design_Z(4)
+        Z = DesignZ(4)
         mu = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.allclose(Z.matvec([1.0, 1.0, 0.0, 0.0]), mu)
 
     def test_last_row_n10(self):
-        Z = build_design_Z(10).dense()
+        Z = DesignZ(10).dense()
         assert np.array_equal(Z[9], [1, 9, 8, 7, 6, 5, 4, 3, 2, 1])
 
     def test_zero_size_rejected(self):
         with pytest.raises(InvalidDimensionError):
-            build_design_Z(0)
+            DesignZ(0)
 
     def test_products_match_dense(self, rng):
-        Z = build_design_Z(23)
+        Z = DesignZ(23)
         v = rng.normal(size=23)
         D = Z.dense()
         assert np.allclose(Z.matvec(v), D @ v)
         assert np.allclose(Z.rmatvec(v), D.T @ v)
 
     def test_column_norms_closed_form(self):
-        Z = build_design_Z(15)
+        Z = DesignZ(15)
         D = Z.dense()
         assert np.allclose(Z.column_norms_sq(), (D * D).sum(axis=0))
 
     @pytest.mark.parametrize("n", [3, 10, 37])
     def test_gram_blocks_closed_form(self, n, rng):
-        Z = build_design_Z(n)
+        Z = DesignZ(n)
         D = Z.dense()
         full = D.T @ D
         assert np.array_equal(Z.gram(np.arange(n)), full)
@@ -93,6 +63,11 @@ class TestDesignZ:
             cols = np.concatenate(([0, 1], rng.choice(np.arange(2, n), size=n // 3, replace=False)))
             rng.shuffle(cols)
             assert np.array_equal(Z.gram(cols), full[np.ix_(cols, cols)])
+            # rectangular blocks Z_R' Z_S: rows and columns differ in set and size
+            rows = rng.choice(np.arange(n), size=1 + n // 2, replace=False)
+            assert np.array_equal(Z.gram(cols, rows=rows), full[np.ix_(rows, cols)])
+            assert np.array_equal(Z.gram(rows, rows=cols), full[np.ix_(cols, rows)])
+        assert np.array_equal(Z.gram([n - 1], rows=[0]), full[:1, -1:])
 
     def test_matvec_exact_at_a_large_level(self, rng):
         # Z b for the encoding b of a series at level 1e6, against the exact
@@ -101,7 +76,7 @@ class TestDesignZ:
         n = 1000
         t = np.arange(n, dtype=float)
         mu = 1e6 + 0.5 * t - 2e-3 * np.maximum(t - 400, 0.0) + rng.normal(0.0, 1.0, n)
-        Z = build_design_Z(n)
+        Z = DesignZ(n)
         b = Z.encode(mu)
         q = [Fraction(float(v)) for v in b]
         ramps = [Fraction(0), Fraction(0)] + list(accumulate(accumulate(q[2:])))
@@ -111,7 +86,7 @@ class TestDesignZ:
     @given(st.lists(finite_floats, min_size=3, max_size=40))
     def test_encode_decode_roundtrip(self, mu):
         mu = np.array(mu)
-        Z = build_design_Z(mu.size)
+        Z = DesignZ(mu.size)
         back = Z.matvec(Z.encode(mu))
         assert np.allclose(back, mu, rtol=0, atol=1e-8 * (1 + np.max(np.abs(mu))))
 
@@ -135,8 +110,7 @@ class TestSecondDiff:
     def test_links_slope_diffs(self, nu):
         # second differences of prefix sums are the adjacent slope differences
         nu = np.array(nu)
-        X = build_design_X(nu.size)
-        assert np.allclose(second_diff(X.matvec(nu)), np.diff(nu)[1:],
+        assert np.allclose(second_diff(np.cumsum(nu)), np.diff(nu)[1:],
                            rtol=0, atol=1e-7 * (1 + np.max(np.abs(nu))))
 
 
@@ -161,6 +135,17 @@ class TestSpectral:
         assert mre == pytest.approx(31.0 / 5.0)
         assert mre < 25.0 / 4.0
 
+    @pytest.mark.parametrize("n", [2, 7, 40, 300])
+    def test_matches_dense_reference(self, n):
+        Z = DesignZ(n).dense()
+        rho1, mre = spectral_check(n)
+        assert rho1 == float(np.linalg.eigvalsh(Z.T @ Z / n)[0])
+        assert mre == float(np.max(np.einsum("ij,ij->i", Z, Z)) / n)
+
+    def test_cap_names_spectral_check(self):
+        with pytest.raises(InvalidDimensionError, match="spectral_check"):
+            spectral_check(DENSE_LIMIT + 1)
+
 
 # reference 3-vectors for n=10 with the retained kink column 5 (4 decimals)
 REFERENCE_ROWS = {
@@ -183,13 +168,29 @@ class TestIrrepresentable:
             assert np.allclose(np.round(row, 4), REFERENCE_ROWS[col])
 
     def test_normal_equation_residual(self):
-        from trendfilter.design import build_design_Z
         system = irrepresentable_vectors(10, [5])
-        Z = build_design_Z(10).dense()
+        Z = DesignZ(10).dense()
         Z1 = Z[:, [c - 1 for c in system.z1_columns]]
         Z2 = Z[:, [c - 1 for c in system.z2_columns]]
         resid = system.M @ (Z1.T @ Z1) - Z2.T @ Z1
         assert np.max(np.abs(resid)) < 1e-8
+
+    def test_normal_equations_past_the_dense_size(self):
+        # n = 2500 is above DENSE_LIMIT: M Z1'Z1 = Z2'Z1 with both blocks from gram
+        n = 2500
+        assert n > DENSE_LIMIT
+        system = irrepresentable_vectors(n, [100, 200])
+        assert system.M.shape == (n - 4, 4)
+        Z = DesignZ(n)
+        c1 = np.array(system.z1_columns) - 1
+        c2 = np.array(system.z2_columns) - 1
+        G12 = Z.gram(c1, rows=c2)
+        resid = system.M @ Z.gram(c1) - G12
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(G12))
+
+    def test_too_small_n_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="n must be >= 2"):
+            irrepresentable_vectors(1, [])
 
     @pytest.mark.parametrize("s1,violating_cols", [
         ((1, 1, 1), [6]),            # |a_3' s| = 1 exactly: strictness makes it fail

@@ -7,7 +7,6 @@ from trendfilter.kkt import KktReport, affine_fit, check_kkt, lambda_max, oracle
 from trendfilter.pathwise import (
     DEADBAND,
     FusedState,
-    PathwiseOptions,
     fit,
     fit_path,
     _descent_sweep,
@@ -610,10 +609,27 @@ class TestFitPath:
         drops = sum(1 for a, b in zip(counts, counts[1:]) if b <= a)
         assert drops >= 0.95 * (len(counts) - 1)
 
-    def test_monotone_descent_validated(self, rng):
-        # validate=True asserts the objective never increases across cycles
+    def test_monotone_descent_validated(self, rng, monkeypatch):
+        # record the objective after each of a round's three moves: within a
+        # lambda level no move may raise it
         y = random_walk(rng, 25)
-        fit(y, 0.4 * lambda_max(y), PathwiseOptions(validate=True))
+        trace = []
+
+        def recording(move):
+            def wrapped(y, nu, r, lam, *args, **kwargs):
+                out = move(y, nu, r, lam, *args, **kwargs)
+                trace.append((lam, pathwise._objective(y, np.cumsum(nu), lam)))
+                return out
+            return wrapped
+
+        for name in ("_descent_sweep", "_structure_polish", "_split_scan"):
+            monkeypatch.setattr(pathwise, name, recording(getattr(pathwise, name)))
+        lam = 0.4 * lambda_max(y)
+        fit(y, lam)
+        assert sum(1 for level, _ in trace if level == lam) >= 6  # two rounds or more
+        for (l0, f0), (l1, f1) in zip(trace, trace[1:]):
+            if l0 == l1:
+                assert f1 <= f0 + 1e-9 * (1.0 + abs(f0))
 
     def test_low_noise_path_certified(self):
         # small splits the split scan opens must survive the structure polish:
