@@ -1,7 +1,7 @@
 """L1 trend filtering: joint piecewise-linear trend recovery with kink detection.
 
 Fits minimize 0.5 * ||y - mu||^2 + lam * sum |mu_t - 2 mu_{t-1} + mu_{t-2}|
-via two independent production routes (pathwise descent on slopes, lasso
+via two independent production routes (pathwise fused runs on slopes, lasso
 coordinate descent on slope changes), certified by a KKT oracle, with SIC/MC
 tuning selection and a replicated simulation benchmark.
 """

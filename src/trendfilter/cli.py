@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative threshold for calling a slope change a kink")
 
     sp = sub.add_parser("fit", help="fit one penalty level")
-    add_common(sp, "sweep tolerance of the pathwise route (capped at 1e-9)")
+    add_common(sp, "stopping tolerance of a pathwise round, relative (capped at 1e-9)")
     sp.add_argument("--lambda", type=float, default=None, dest="lam")
     sp.add_argument("--lambda-rel", type=float, default=None, dest="lambda_rel",
                     help="lambda as a fraction of lambda_max(y)")

@@ -9,7 +9,6 @@ from trendfilter.pathwise import (
     FusedState,
     fit,
     fit_path,
-    _descent_sweep,
     _prefix_sums,
     _pwq_min,
     _run_values,
@@ -20,7 +19,9 @@ from trendfilter.pathwise import (
     _try_fuse,
 )
 from trendfilter.selection import default_grid
-from trendfilter.simulate import NoiseSpec, PiecewiseLinearSpec, add_noise, example2, gen_trend
+from trendfilter.simulate import (
+    NoiseSpec, PiecewiseLinearSpec, add_noise, example1, example2, gen_trend,
+)
 from tests.conftest import random_walk
 
 
@@ -106,33 +107,6 @@ def _reference_pwq_min(w2, c, lam, b1, b2, prefer):
     return (bps[0] if p0 < p1 else bps[1]), False
 
 
-def _reference_sweep(y, nu, r, lam, reverse=False):
-    """The descent pass on numpy scalars, writing each move into nu as it goes."""
-    n = y.size
-    maxrel = 0.0
-    suf = np.cumsum(r[::-1])[::-1]
-    deltas = np.zeros(n)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    delta_tot = 0.0
-    for k in order:
-        S = suf[k] - delta_tot if reverse else suf[k] - delta_tot * (n - k)
-        w2 = float(n - k)
-        c = w2 * nu[k] + S
-        b1 = nu[k - 1] if k >= 2 else None
-        b2 = nu[k + 1] if (k >= 1 and k + 1 < n) else None
-        prefer = nu[k + 1] if k + 1 < n else nu[k]
-        v, _ = _reference_pwq_min(w2, c, lam, b1, b2, prefer)
-        d = v - nu[k]
-        if d != 0.0 and abs(d) > pathwise.DEADBAND * (1.0 + abs(v)):
-            nu[k] = v
-            deltas[k] = d
-            delta_tot += d * (n - k) if reverse else d
-            maxrel = max(maxrel, abs(d) / (1.0 + abs(v)))
-    if maxrel > 0.0:
-        r -= np.cumsum(deltas)
-    return maxrel
-
-
 def _loop_runs(nu):
     """Maximal runs of exactly equal values, (start, end) inclusive, in a loop."""
     runs = []
@@ -145,29 +119,31 @@ def _loop_runs(nu):
     return runs
 
 
-def _reference_split_scan(y, nu, r, lam, slack=1e-7):
-    """The split scan as a loop over every coordinate of every run: the first
-    violated position strictly inside a run, in ascending order, whose
-    left or right sub-run move is accepted."""
+def _reference_split_scan(y, nu, r, lam):
+    """The split scan as a loop over every coordinate of every run, with the
+    subgradient and the runs read before any move: each run with a violated
+    position strictly inside it splits at its largest violation (the first on
+    a tie) by its left, else its right, sub-run move, in run order."""
     n = y.size
     if lam <= 0:
         return 0.0, 0
-    graw = np.cumsum(np.cumsum(r))[:n - 2]
-    viol = np.abs(graw) > lam * (1.0 + slack)
-    if not np.any(viol):
-        return 0.0, 0
+    gabs = np.abs(np.cumsum(np.cumsum(r))[:n - 2])
+    bound = lam * (1.0 + pathwise.SPLIT_SLACK)
+    maxrel, splits = 0.0, 0
     for a, b in _loop_runs(nu):
-        if b == a:
-            continue
+        peak = None
         for p in range(max(a + 1, 2), b + 1):
-            if not viol[p - 2]:
-                continue
-            acc, rel, _ = _try_fuse(y, nu, r, lam, a, p - 1)
-            if not acc:
-                acc, rel, _ = _try_fuse(y, nu, r, lam, p, b)
-            if acc:
-                return rel, 1
-    return 0.0, 0
+            if gabs[p - 2] > bound and (peak is None or gabs[p - 2] > gabs[peak - 2]):
+                peak = p
+        if peak is None:
+            continue
+        acc, rel, _ = _try_fuse(y, nu, r, lam, a, peak - 1)
+        if not acc:
+            acc, rel, _ = _try_fuse(y, nu, r, lam, peak, b)
+        if acc:
+            maxrel = max(maxrel, rel)
+            splits += 1
+    return maxrel, splits
 
 
 def _reference_polish(y, nu, r, lam):
@@ -243,8 +219,8 @@ def _affine_start(y):
 
 
 def _fused_states(y, fracs):
-    """(y, nu, r, lam): the affine start to be swept at fracs[0] * lambda_max,
-    then the solver's state at each frac down the path, to be swept at the
+    """(y, nu, r, lam): the affine start to be solved at fracs[0] * lambda_max,
+    then the solver's state at each frac down the path, to be solved at the
     next one."""
     lmax, sums = lambda_max(y), _prefix_sums(y)
     state = _affine_start(y)
@@ -255,32 +231,13 @@ def _fused_states(y, fracs):
     return out
 
 
-def _spiked_states(rng, count):
-    """(y, nu, r, lam): random run patterns with a few large residual spikes,
-    so that moves early in a sweep push held coordinates later in it over
-    their bound."""
-    out = []
-    for _ in range(count):
-        nu = np.repeat(rng.normal(size=8), rng.integers(1, 12, size=8))
-        r = np.zeros(nu.size)
-        r[rng.integers(0, nu.size, size=3)] = rng.normal(0.0, 3.0, size=3)
-        out.append((np.cumsum(nu) + r, nu, r, float(rng.uniform(0.2, 2.0))))
-    return out
-
-
 def _same_bits(x, z):
     return np.asarray(x, dtype=float).tobytes() == np.asarray(z, dtype=float).tobytes()
 
 
-# the sweep at k = 2 of this series sits on the psi/prefer tie: its stationary
-# candidate is the lower breakpoint 1000, the hinge values at 1000 and
-# 1000 + 1e-5 agree to 1e-15 relative, and the tie goes to nu_4 = 1000 + 1e-5
-_TIE_NU = np.array([0.0, 1000.0, 1000.0, 1000.0 + 1e-5, 1000.0 + 1e-5])
-
-
 class TestReferenceEquivalence:
-    """The scalar sweep and the numpy collision walk against their loop forms,
-    bit for bit."""
+    """The 1-d minimiser, the batched split scan and the numpy collision walk
+    against their loop forms, bit for bit."""
 
     def test_pwq_min_matches_reference(self, rng):
         cases = [(3.0, 3000.0, 1.0, 1000.0, 1000.0 + 1e-5, 1000.0 + 1e-5)]  # the tie branch
@@ -295,92 +252,11 @@ class TestReferenceEquivalence:
             v_ref, _ = _reference_pwq_min(*args)
             assert _same_bits(_pwq_min(*args), v_ref), args
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("case", ["random-walk", "rounded", "tie"])
-    def test_sweep_matches_reference(self, rng, case, reverse):
-        if case == "random-walk":
-            y = random_walk(rng, 200)
-        elif case == "rounded":  # multiples of 5: neighbouring slopes tie, b1 == b2
-            y = np.round(random_walk(rng, 200, scale=20.0) / 5.0) * 5.0
-        else:
-            y = np.cumsum(_TIE_NU)
-        lam = 1.0 if case == "tie" else 0.05 * lambda_max(y)
-        state, ref = _interpolation(y), _interpolation(y)
-        if case == "tie":
-            state.nu[:], ref.nu[:] = _TIE_NU, _TIE_NU
-        for sweep in range(6):
-            got = _descent_sweep(y, state.nu, state.resid, lam, reverse=reverse)
-            want = _reference_sweep(y, ref.nu, ref.resid, lam, reverse=reverse)
-            assert got == want, sweep
-            assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid), sweep
-        if case == "tie" and not reverse:
-            assert state.nu[2] == _TIE_NU[3]  # the tie went to the preferred neighbour
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("case", ["example2", "custom", "random-walk", "spiked"])
-    def test_sweep_matches_reference_from_fused_states(self, rng, monkeypatch, case, reverse):
-        # fused states hold most coordinates inside runs, where the sweep
-        # skips them; moves made earlier in a sweep shift the suffix sums the
-        # later coordinates see, and a mover frees its next neighbour
-        fracs = (0.5, 0.1, 0.02, 0.004, 0.001)
-        if case == "example2":
-            y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
-            states = _fused_states(y, fracs)
-        elif case == "custom":
-            spec = PiecewiseLinearSpec(n=400, r=tuple(k / 9 for k in range(1, 9)),
-                                       b=(-20.0, 15.0, -10.0, 25.0, -15.0, 10.0, -25.0, 20.0, -5.0))
-            states = _fused_states(add_noise(gen_trend(spec), NoiseSpec(snr=25.0, seed=1)).y, fracs)
-        elif case == "random-walk":
-            states = _fused_states(random_walk(rng, 250), fracs)
-        else:
-            states = _spiked_states(rng, 60)
-        calls, pwq_min = [0], pathwise._pwq_min
-
-        def counting_pwq_min(*args):
-            calls[0] += 1
-            return pwq_min(*args)
-
-        monkeypatch.setattr(pathwise, "_pwq_min", counting_pwq_min)
-        passed = moved = 0
-        for y, nu, r, lam in states:
-            state = FusedState(y=y, nu=nu.copy(), resid=r.copy())
-            ref = FusedState(y=y, nu=nu.copy(), resid=r.copy())
-            for sweep in range(4):
-                got = _descent_sweep(y, state.nu, state.resid, lam, reverse=reverse)
-                passed += y.size
-                want = _reference_sweep(y, ref.nu, ref.resid, lam, reverse=reverse)
-                assert got == want, (lam, sweep)
-                assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid), (lam, sweep)
-                moved += got > 0.0
-        assert moved >= 5
-        assert calls[0] < (0.9 if case == "spiked" else 0.5) * passed  # the sweeps did skip
-
-    @pytest.mark.parametrize("rel", [-1e-13, 1e-13])
-    def test_sweep_at_the_skip_bound(self, rng, rel):
-        # a reverse sweep from one run after index 0: the last coordinate
-        # stays put, so coordinate n - 2, inside the run, sees
-        # S = r_{n-2} + r_{n-1} with no shift, and |S| sits rel away from
-        # 2 lam: the coordinate moves for rel > 0, and must not be skipped
-        n = 50
-        nu0 = np.r_[1.0, np.full(n - 1, 0.3)]
-        y = np.cumsum(nu0) + 0.1 * rng.normal(size=n)
-        y[-2] += 3.0
-        state = FusedState(y=y, nu=nu0.copy())
-        S = np.cumsum(state.resid[::-1])[::-1][n - 2]
-        lam = abs(S) / (2.0 * (1.0 + rel))
-        assert abs(state.resid[-1]) < 0.5 * lam
-        ref = FusedState(y=y, nu=nu0.copy(), resid=state.resid.copy())
-        got = _descent_sweep(y, state.nu, state.resid, lam, reverse=True)
-        want = _reference_sweep(y, ref.nu, ref.resid, lam, reverse=True)
-        assert got == want
-        assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid)
-        assert (state.nu[n - 2] != nu0[n - 2]) == (rel > 0)
-        assert state.nu[n - 1] == nu0[n - 1]
-
     def test_split_scan_matches_reference(self, rng):
         # random run patterns with violations in several runs, at single-point
         # runs, and at a run's first index (which is no split and is skipped)
-        seen = {"several runs": 0, "single-point run": 0, "run start first": 0}
+        seen = {"several runs": 0, "single-point run": 0, "run start first": 0, "several splits": 0}
+        slack = pathwise.SPLIT_SLACK
         for trial in range(400):
             lengths = rng.integers(1, 7, size=int(rng.integers(2, 10)))
             n = int(lengths.sum())
@@ -390,8 +266,8 @@ class TestReferenceEquivalence:
             y = np.cumsum(nu) + rng.normal(0.0, 0.5, n)
             r = y - np.cumsum(nu)
             graw = np.abs(np.cumsum(np.cumsum(r))[:n - 2])
-            lam = float(np.quantile(graw, rng.choice([0.1, 0.5, 0.8, 0.95]))) / (1.0 + 1e-7)
-            viol = np.flatnonzero(graw > lam * (1.0 + 1e-7)) + 2
+            lam = float(np.quantile(graw, rng.choice([0.1, 0.5, 0.8, 0.95]))) / (1.0 + slack)
+            viol = np.flatnonzero(graw > lam * (1.0 + slack)) + 2
             starts = {a for a, _ in _loop_runs(nu)}
             run_of = {p: a for a, b in _loop_runs(nu) for p in range(a, b + 1)}
             inner = [p for p in viol if p not in starts]
@@ -404,6 +280,7 @@ class TestReferenceEquivalence:
             want = _reference_split_scan(y, ref.nu, ref.resid, lam)
             assert got == want, trial
             assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid), trial
+            seen["several splits"] += got[1] >= 2
         assert min(seen.values()) > 0, seen
         y = random_walk(rng, 30)
         state = FusedState(y=y, nu=np.full(30, 0.1))
@@ -412,22 +289,30 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("case", ["random-walk", "rounded", "example2"])
     def test_polish_matches_reference(self, rng, case):
+        # from the interpolant, where the walk merges many runs, and from the
+        # solver's states down a path, each followed by split scans that open
+        # new runs for the next polish
         if case == "random-walk":
             y = random_walk(rng, 150)
         elif case == "rounded":
             y = np.round(random_walk(rng, 150, scale=20.0) / 5.0) * 5.0
         else:
             y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
-        for frac in (0.002, 0.02, 0.2):
-            lam = frac * lambda_max(y)
-            state = _interpolation(y)
-            for sweep in range(3):
-                _descent_sweep(y, state.nu, state.resid, lam, reverse=sweep % 2 == 1)
+        start = _interpolation(y)
+        states = [(y, start.nu, start.resid, 0.02 * lambda_max(y))]
+        states += _fused_states(y, (0.5, 0.2, 0.02, 0.002))
+        moved = 0
+        for k, (y, nu0, r0, lam) in enumerate(states):
+            state = FusedState(y=y, nu=nu0.copy(), resid=r0.copy())
+            for rnd in range(3):
                 nu, r = state.nu.copy(), state.resid.copy()
                 got = _structure_polish(y, state.nu, state.resid, lam, _prefix_sums(y))
                 want = _reference_polish(y, nu, r, lam)
-                assert got == want, (frac, sweep)
-                assert _same_bits(state.nu, nu) and _same_bits(state.resid, r), (frac, sweep)
+                assert got == want, (k, rnd)
+                assert _same_bits(state.nu, nu) and _same_bits(state.resid, r), (k, rnd)
+                moved += got > 0.0
+                _split_scan(y, state.nu, state.resid, lam)
+        assert moved >= len(states)
 
     def test_collision_walk_ties_go_to_the_first_boundary(self, monkeypatch):
         # runs start at a = 0, 1, 3, 5, 7, 9. The full step flips the penalised
@@ -505,7 +390,7 @@ class TestDescentUpdate:
             f = f_new
 
     def test_random_start_sweeps_reach_oracle_objective(self, rng):
-        # rounds of descent, polish and split scan from a random start, no continuation
+        # rounds of polish and split scan from a random start, no continuation
         y = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
         lam = 0.5
         mu_star = oracle_solve(y, lam, tol=1e-14 * (1 + y @ y))
@@ -610,7 +495,7 @@ class TestFitPath:
         assert drops >= 0.95 * (len(counts) - 1)
 
     def test_monotone_descent_validated(self, rng, monkeypatch):
-        # record the objective after each of a round's three moves: within a
+        # record the objective after each of a round's two moves: within a
         # lambda level no move may raise it
         y = random_walk(rng, 25)
         trace = []
@@ -622,11 +507,11 @@ class TestFitPath:
                 return out
             return wrapped
 
-        for name in ("_descent_sweep", "_structure_polish", "_split_scan"):
+        for name in ("_structure_polish", "_split_scan"):
             monkeypatch.setattr(pathwise, name, recording(getattr(pathwise, name)))
         lam = 0.4 * lambda_max(y)
         fit(y, lam)
-        assert sum(1 for level, _ in trace if level == lam) >= 6  # two rounds or more
+        assert sum(1 for level, _ in trace if level == lam) >= 4  # two rounds or more
         for (l0, f0), (l1, f1) in zip(trace, trace[1:]):
             if l0 == l1:
                 assert f1 <= f0 + 1e-9 * (1.0 + abs(f0))
@@ -640,23 +525,28 @@ class TestFitPath:
             assert check_kkt(y, entry.fit.mu_hat, entry.lam).passed, i
             assert entry.fit.converged, i
 
-    @pytest.mark.parametrize("case", ["step", "spike", "split-at-neighbour"])
+    @pytest.mark.parametrize("case", ["step", "spike", "split-at-neighbour", "micro-units"])
     def test_path_certified_at_every_entry(self, case):
         # climbing the grid up from the interpolant left entry 60 (lambda_max)
         # of the step and entry 34 of the spike uncertified. At entry 13 of the
         # third path the subgradient breaks its bound inside the run 678..681,
         # whose right part must join the runs after it: each sub-run move has
         # its minimum at a neighbour's value, and a split scan that took only
-        # interior minima left the entry uncertified
+        # interior minima left the entry uncertified. In micro units each round
+        # lowers the objective by less than the stall exit's absolute floor of
+        # 1e-14, so a rung stops after five rounds that open splits: a scan
+        # that opened one split per round left 35 entries uncertified
         first = 0
         if case == "step":
             y = np.r_[np.zeros(100), np.ones(100)]
         elif case == "spike":
             y = np.zeros(201)
             y[100] = 50.0
-        else:
+        elif case == "split-at-neighbour":
             y = add_noise(gen_trend(example2(n=800)), NoiseSpec(snr=25.0, seed=1)).y
             first = 13
+        else:
+            y = add_noise(gen_trend(example2(n=400)), NoiseSpec(snr=400.0, seed=(5, 0, 0))).y * 1e-6
         path = fit_path(y, default_grid(lambda_max(y))[first:])
         for i, entry in enumerate(path.entries):
             assert entry.kkt.passed, i
@@ -684,32 +574,6 @@ class TestFitPath:
         monkeypatch.setattr(pathwise, "_structure_polish", counting_polish)
         assert fit(y, lambda_max(y) / 100).converged
         assert per_polish and max(per_polish) <= 20
-
-    def test_descent_sweeps_skip_held_coordinates(self, monkeypatch):
-        # down a long path almost every coordinate sits inside a run that
-        # cannot move: the sweeps may run the scalar minimiser on at most 10 %
-        # of the coordinates they pass
-        y = add_noise(gen_trend(example2(n=2000)), NoiseSpec(snr=400.0, seed=(1, 0, 0))).y
-        calls, passed, inside = [0], [0], [False]
-        pwq_min, sweep = pathwise._pwq_min, pathwise._descent_sweep
-
-        def counting_pwq_min(*args):
-            calls[0] += inside[0]
-            return pwq_min(*args)
-
-        def counting_sweep(y, nu, r, lam, reverse=False):
-            passed[0] += y.size
-            inside[0] = True
-            try:
-                return sweep(y, nu, r, lam, reverse)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(pathwise, "_pwq_min", counting_pwq_min)
-        monkeypatch.setattr(pathwise, "_descent_sweep", counting_sweep)
-        path = fit_path(y, default_grid(lambda_max(y)))
-        assert all(e.fit.converged for e in path.entries)
-        assert passed[0] > 0 and calls[0] <= 0.10 * passed[0], (calls[0], passed[0])
 
     def test_failed_certificate_is_not_converged(self, rng, monkeypatch):
         y = random_walk(rng, 30)
@@ -762,3 +626,13 @@ class TestSolverAgreement:
             mu_p = fit(y, lam).mu_hat
             mu_l = lasso.fit(y, lam).mu_hat
             assert np.max(np.abs(mu_p - mu_l)) <= 1e-5 * (1 + np.max(np.abs(y)))
+
+    def test_paths_agree_on_a_low_noise_series(self):
+        # with a split margin of 1e-7 this path strays from the lasso route by
+        # more than the bound (by 4.0e-5 at entry 53 with a descent sweep)
+        from trendfilter import lasso
+        y = add_noise(gen_trend(example1(n=500)), NoiseSpec(snr=1e4, seed=(1, 0, 0))).y
+        grid = default_grid(lambda_max(y))
+        scale = 1 + np.max(np.abs(y))
+        for i, (p, l) in enumerate(zip(fit_path(y, grid).entries, lasso.fit_path(y, grid).entries)):
+            assert np.max(np.abs(p.fit.mu_hat - l.fit.mu_hat)) <= 1e-6 * scale, i
