@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: fit, path, select, simulate, check, irrep. All outputs are CSV
-with a metadata header; simulate also writes a JSON sidecar. Exit codes are a
+Subcommands: fit, path, select, simulate, check, irrep. fit, path and select
+run one of the two certified routes, looked up by ``--solver`` in ``ROUTES``;
+a route's own stopping rules are not options. All outputs are CSV with a
+metadata header; simulate also writes a JSON sidecar. Exit codes are a
 stable contract: 0 success, 2 input/validation problem, 3 solver
 non-convergence (partial output still written), 4 certification failure.
 
@@ -32,6 +34,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGED = 3
 EXIT_CERT_FAILED = 4
+
+# the certified routes, by their --solver name
+ROUTES = {"pathwise": pathwise, "lasso": lasso}
 
 
 class CliError(Exception):
@@ -74,13 +79,6 @@ def _resolve_lambda(args, y: TimeSeries) -> float:
     return 20.0 * spec.min_slope_change() * spec.min_segment_len()
 
 
-def _solve_single(y: TimeSeries, lam: float, solver: str, tol: float):
-    if solver == "pathwise":
-        opts = pathwise.PathwiseOptions(sweep_tol=min(tol, 1e-9))
-        return pathwise.fit(y, lam, opts)
-    return lasso.fit(y, lam)
-
-
 def _unconverged(y: TimeSeries, fit, lam: float) -> int:
     """Name the cause of an unconverged fit on stderr; returns exit code 3."""
     report = check_kkt(y, fit.mu_hat, lam)
@@ -95,7 +93,7 @@ def _unconverged(y: TimeSeries, fit, lam: float) -> int:
 def cmd_fit(args) -> int:
     y = io.read_series(args.input)
     lam = _resolve_lambda(args, y)
-    fit = _solve_single(y, lam, args.solver, args.tol)
+    fit = ROUTES[args.solver].fit(y, lam)
     kinks = extract_kinks(fit, args.tol_kink)
     out = _outpath(args, "fit.csv")
     io.write_fit_csv(out, y, fit, kinks, args_echo=_args_echo(args))
@@ -106,9 +104,7 @@ def cmd_fit(args) -> int:
 def _path_for(args, y: TimeSeries):
     lmax = lambda_max(y)
     grid = default_grid(lmax, size=args.grid_size, min_rel=args.grid_min_rel)
-    if args.solver == "pathwise":
-        return pathwise.fit_path(y, grid)
-    return lasso.fit_path(y, grid)
+    return ROUTES[args.solver].fit_path(y, grid)
 
 
 def cmd_path(args) -> int:
@@ -312,23 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=functools.partial(
         argparse.ArgumentParser, allow_abbrev=False))
 
-    def add_common(sp, tol_help=None):
+    def add_common(sp):
         sp.add_argument("--input", required=True, help="series CSV (1 or 2 columns)")
         sp.add_argument("--output", default=None, help="output path (default: TRENDFILTER_OUTDIR)")
-        if tol_help:
-            sp.add_argument("--tol", type=float, default=1e-6, help=tol_help)
         sp.add_argument("--tol-kink", type=float, default=1e-8, dest="tol_kink",
                         help="relative threshold for calling a slope change a kink")
 
     sp = sub.add_parser("fit", help="fit one penalty level")
-    add_common(sp, "stopping tolerance of a pathwise round, relative (capped at 1e-9)")
+    add_common(sp)
     sp.add_argument("--lambda", type=float, default=None, dest="lam")
     sp.add_argument("--lambda-rel", type=float, default=None, dest="lambda_rel",
                     help="lambda as a fraction of lambda_max(y)")
     sp.add_argument("--lambda-paper-fig2", action="store_true", dest="lambda_paper_fig2",
                     help="20 * (min slope change) * (min segment length); needs --preset")
     sp.add_argument("--preset", choices=sorted(simulate.PRESETS), default=None)
-    sp.add_argument("--solver", choices=["pathwise", "lasso"], default="pathwise")
+    sp.add_argument("--solver", choices=list(ROUTES), default="pathwise")
     sp.set_defaults(func=cmd_fit)
 
     for name, fn in (("path", cmd_path), ("select", cmd_select)):
@@ -336,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(sp)
         sp.add_argument("--grid-size", type=int, default=60, dest="grid_size")
         sp.add_argument("--grid-min-rel", type=float, default=1e-4, dest="grid_min_rel")
-        sp.add_argument("--solver", choices=["pathwise", "lasso"], default="pathwise")
+        sp.add_argument("--solver", choices=list(ROUTES), default="pathwise")
         sp.add_argument("--criterion", choices=["sic", "mc"], default="mc")
         sp.set_defaults(func=fn)
 
@@ -356,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("check", help="certify a fit CSV against the KKT conditions")
-    add_common(sp, "tolerance of the KKT certificate")
+    add_common(sp)
+    sp.add_argument("--tol", type=float, default=1e-6, help="tolerance of the KKT certificate")
     sp.add_argument("--fit", required=True, help="fit CSV from the fit subcommand")
     sp.add_argument("--lambda", type=float, default=None, dest="lam", required=True)
     sp.set_defaults(func=cmd_check)

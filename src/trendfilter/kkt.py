@@ -8,6 +8,9 @@ the double cumulative sum of ``y - mu`` equals ``lam * g`` on its first n-2
 entries, and the stationarity defect is exactly the affine component left
 over. That recovery is O(n) and avoids forming the ill-conditioned normal
 equations of D'.
+
+Both certified routes emit their paths through :func:`certified_path`, and
+their single fits descend the ladder of :func:`fit_ladder`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KINK_TOL, TimeSeries
+from .core import KINK_TOL, LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
 from .design import second_diff, second_diff_adjoint
 
 # An active coordinate's subgradient must sit at +-1; allow this much slack
@@ -24,6 +27,8 @@ from .design import second_diff, second_diff_adjoint
 SIGN_SLACK = 0.01
 
 ORACLE_MAX_ITER = 5_000_000
+
+LADDER_RATIO = 2.5  # a single fit's ladder grows by this factor per rung
 
 
 class OracleBudgetError(RuntimeError):
@@ -107,6 +112,43 @@ def lambda_max(y) -> float:
     resid = yv - affine_fit(yv)
     g = subgradient_times_lambda(resid)
     return float(np.max(np.abs(g))) if g.size else 0.0
+
+
+def fit_ladder(lam: float, lmax: float) -> list[float]:
+    """The grid of a single fit at lam: lam, 2.5 lam, ... (each below lmax),
+    then lmax, so the solve descends from the affine fit. For lam <= 0 or
+    lam >= lmax the ladder is lam alone."""
+    ladder = [lam]
+    if 0 < lam < lmax:
+        while ladder[-1] * LADDER_RATIO < lmax:
+            ladder.append(ladder[-1] * LADDER_RATIO)
+        ladder.append(lmax)
+    return ladder
+
+
+def certified_path(y, lambda_grid, solve, solver: str) -> LambdaPath:
+    """Fit every lambda on a strictly increasing grid, from its largest lambda
+    down (the pathwise scheme of Friedman, Hastie, Hoefling & Tibshirani 2007).
+
+    ``solve(lam)`` returns ``(mu, ok)``, warm-started from the rung above,
+    with ``ok`` its own stopping rule's verdict; it is never called at
+    lam = 0, where the fit is y itself. Every entry carries its KKT
+    certificate and is flagged converged only when ``ok`` holds and the
+    certificate passed. Entries come back in ascending order.
+    """
+    yv = _as_y(y)
+    entries = []
+    warm = False
+    for lam in reversed(validate_grid(lambda_grid)):
+        if lam == 0.0:  # the interpolant, not a warm start
+            mu, ok, warm = yv.copy(), True, False
+        else:
+            mu, ok = solve(lam)
+        report = check_kkt(yv, mu, lam)
+        fit = TrendFit.from_mu(yv, mu, lam, converged=ok and report.passed, solver=solver)
+        entries.append(PathEntry(lam=lam, fit=fit, warm_start=warm, kkt=report))
+        warm = True
+    return LambdaPath(entries=tuple(reversed(entries)))
 
 
 def oracle_solve(y, lam: float, tol: float | None = None,

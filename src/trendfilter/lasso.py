@@ -16,7 +16,9 @@ lam / ||z_j||^2. A sweep is O(n): one ``Z'r``, one scalar loop that updates
 each coordinate's inner product in closed form from the moves made before it
 in the sweep, and one ``Z d`` that applies all the moves (the pathwise
 coordinate descent of Friedman, Hastie, Hoefling & Tibshirani 2007).
-``budget_path`` keeps it for the smearing it leaves.
+``budget_path`` runs a fixed budget of these sweeps for the smearing they
+leave; ``cd_fit`` runs them to a tolerance, as the reference the polish is
+tested against.
 
 ``active_set_polish``, behind ``fit_path`` and ``fit``, alternates an exact
 solve of the sign-restricted subproblem on the nonzero set (with zero-crossing
@@ -26,22 +28,19 @@ violation first, and stepped in, so a round is O(n) plus O(n) per candidate
 (the screen-then-check working set of glmnet and the strong rules). Adjacent Z
 columns are so collinear that plain cyclic descent cannot reach tight
 tolerances on its own at realistic n, so the polish is where production
-accuracy comes from. mu_hat = Z beta_hat either way, and every fit can be
-certified by the independent KKT oracle; ``fit_path`` flags a fit converged
-only when it is.
+accuracy comes from. mu_hat = Z beta_hat either way. ``fit_path`` emits
+its fits through ``kkt.certified_path``, which certifies each one and flags
+it converged only when the polish converged and the certificate passed.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
 from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
 from .design import DesignZ
-from .kkt import affine_fit, check_kkt, lambda_max
+from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
 
-LADDER_POINTS = 8  # rungs of a single fit's homotopy, lam to lambda_max inclusive
 # A coordinate caught in an admission cycle re-enters only when |z_j'r| exceeds
 # lam by this relative margin, so a subgradient that sits at its bound to within
 # round-off cannot be admitted and dropped again round after round. It is well
@@ -210,7 +209,8 @@ def _admit(prob, beta, r, bound):
     return np.array(admitted, dtype=np.intp)
 
 
-def active_set_polish(prob: LassoProblem, fit: TrendFit, max_rounds: int = 200) -> TrendFit:
+def active_set_polish(prob: LassoProblem, mu: np.ndarray,
+                      max_rounds: int = 200) -> tuple[np.ndarray, bool]:
     """Solve the sign-restricted subproblem on the nonzero set exactly, then
     admit the KKT violators among the other coordinates; repeat until none is
     admitted. The exact restricted solve replaces inner coordinate cycling,
@@ -222,13 +222,13 @@ def active_set_polish(prob: LassoProblem, fit: TrendFit, max_rounds: int = 200) 
     coordinates admitted last need ``ADMIT_MARGIN`` to enter from then on.
     The fit ends with an exact O(n) least-squares refit of the unpenalised
     affine pair, which the dense restricted solve leaves off its optimum at
-    large n. ``converged`` is this polish's own verdict: the fit it starts
-    from only seeds it."""
+    large n. Takes a seed mu and returns ``(mu, converged)``, where
+    ``converged`` is this polish's own verdict. At lam = 0 the answer is y."""
     lam = prob.lam
     if lam == 0.0:
-        return fit
+        return prob.y.copy(), True
     Z = prob.Z
-    beta = _sparse_encode(Z, fit.mu_hat)
+    beta = _sparse_encode(Z, mu)
     Zty = Z.rmatvec(prob.y)
     tied = np.zeros(prob.n, dtype=bool)
     seen = set()  # signed supports the restricted solve has landed on
@@ -246,16 +246,14 @@ def active_set_polish(prob: LassoProblem, fit: TrendFit, max_rounds: int = 200) 
             break
     mu = Z.matvec(beta)
     mu += affine_fit(prob.y - mu)  # the unpenalised pair, refit exactly in O(n)
-    return TrendFit.from_mu(prob.y, mu, lam, converged=converged, solver="lasso")
+    return mu, converged
 
 
 def fit(y, lam: float) -> TrendFit:
-    """The lam entry of :func:`fit_path` on an 8-point geometric ladder from
-    lam up to lambda_max, so the solve is warm-started down from the affine fit."""
+    """The lam entry of :func:`fit_path` on ``kkt.fit_ladder(lam, lambda_max(y))``,
+    so the solve is warm-started down from the affine fit."""
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    lmax = lambda_max(yv)
-    grid = np.geomspace(lam, lmax, LADDER_POINTS) if 0.0 < lam < lmax else [lam]
-    return fit_path(yv, grid).entries[0].fit
+    return fit_path(yv, fit_ladder(lam, lambda_max(yv))).entries[0].fit
 
 
 def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) -> LambdaPath:
@@ -277,8 +275,8 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) ->
     warm = False
     for lam in grid:
         prob = LassoProblem(yv, lam)
-        if lam == 0.0:
-            fit_l = cd_fit(prob, tol=tol)
+        if lam == 0.0:  # the interpolant: residual exactly 0, so selection excludes it
+            fit_l = TrendFit.from_mu(yv, yv.copy(), 0.0, solver="lasso-budget")
         else:
             r = yv - prob.Z.matvec(beta)
             for _ in range(sweeps_per_rung):
@@ -295,27 +293,18 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) ->
 
 
 def fit_path(y, lambda_grid) -> LambdaPath:
-    """Fits for an increasing grid; solved internally in descending order with
-    warm starts (standard homotopy efficiency), reversed on output. The
-    minimizer at each lambda is unique, so ordering is a speed detail only.
-    A fit is flagged converged only when its polish converged and its KKT
-    certificate passed; at lam = 0 the fit is y itself."""
+    """Certified fits for an increasing grid through ``kkt.certified_path``:
+    each level is polished from the sparse encoding of the fit above it, so
+    the descent starts from beta = 0. The minimizer at each lambda is unique,
+    so the order is a speed detail only."""
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    grid = validate_grid(lambda_grid)
-    entries = []
     beta = np.zeros(yv.size)
-    warm = False
-    for lam in reversed(grid):
-        if lam == 0.0:  # the interpolant, not a warm start
-            fit_l, warm = TrendFit.from_mu(yv, yv.copy(), 0.0, solver="lasso"), False
-        else:
-            prob = LassoProblem(yv, lam)
-            seed = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, solver="lasso")
-            fit_l = active_set_polish(prob, seed)
-            beta = _sparse_encode(prob.Z, fit_l.mu_hat)
-        report = check_kkt(yv, fit_l.mu_hat, lam)
-        if fit_l.converged and not report.passed:
-            fit_l = replace(fit_l, converged=False)
-        entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
-        warm = True
-    return LambdaPath(entries=tuple(reversed(entries)))
+
+    def solve(lam):
+        nonlocal beta
+        prob = LassoProblem(yv, lam)
+        mu, ok = active_set_polish(prob, prob.Z.matvec(beta))
+        beta = _sparse_encode(prob.Z, mu)
+        return mu, ok
+
+    return certified_path(yv, lambda_grid, solve, "lasso")

@@ -20,20 +20,21 @@ and opens no split:
   strictly inside it, at the run's peak, by an exact sub-run joint move.
 
 A round costs O(n) numpy work and scalar work in proportion to the runs.
-A single fit is the lowest entry of a path on its own ladder down from
-lambda_max, so every emitted fit comes from the same loop and carries the KKT
-certificate (kkt module); ``converged`` means the loop met its stopping rule
-and the certificate passed.
+The grid loop, the lam = 0 entry and the KKT certificate are
+``kkt.certified_path``'s, and a single fit is the lowest entry of a path on
+``kkt.fit_ladder``; ``converged`` means the level met its stopping rule and
+the certificate passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
-from .kkt import affine_fit, check_kkt, lambda_max
+from .core import LambdaPath, TimeSeries, TrendFit
+from .kkt import affine_fit, certified_path, fit_ladder, lambda_max
+from .kkt import check_kkt  # noqa: F401  bench/spans.py patches the name here
 
 # A structure polish whose step is below this relative size is not taken:
 # such a step is floating-point jitter, and skipping it leaves a converged
@@ -50,28 +51,11 @@ SPLIT_SLACK = 1e-11
 _ACCEPT_SLACK = 1e-12  # relative slack when testing "objective does not increase"
 
 ROUNDS_PER_POINT = 10  # a level's round cap is this times n
-LADDER_RATIO = 2.5     # a single fit's ladder grows by this factor per rung
 
 
 @dataclass
 class PathwiseOptions:
     sweep_tol: float = 1e-10
-
-
-@dataclass
-class FusedState:
-    """Mutable solver state: slope vector, residual, and the implied run partition."""
-
-    y: np.ndarray
-    nu: np.ndarray
-    resid: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.resid is None:
-            self.resid = self.y - np.cumsum(self.nu)
-
-    def mu(self) -> np.ndarray:
-        return np.cumsum(self.nu)
 
 
 def _runs_of(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,48 +306,30 @@ def _solve_at(y, nu, r, lam, sums, sweep_tol, max_rounds):
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
-    """Solve at a single penalty: the lowest entry of :func:`fit_path` on the
-    ladder lam, 2.5 lam, ... (each below lambda_max), then lambda_max, so the
-    solve is warm-started down from the affine fit. For lam <= 0 or
-    lam >= lambda_max the ladder is lam alone."""
+    """Solve at a single penalty: the lowest entry of :func:`fit_path` on
+    ``kkt.fit_ladder(lam, lambda_max(y))``, so the solve is warm-started down
+    from the affine fit."""
     opts = opts or PathwiseOptions()
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    lmax = lambda_max(yv)
-    ladder = [lam]
-    if 0 < lam < lmax:
-        while ladder[-1] * LADDER_RATIO < lmax:
-            ladder.append(ladder[-1] * LADDER_RATIO)
-        ladder.append(lmax)
-    return fit_path(yv, ladder, opts.sweep_tol).entries[0].fit
+    return fit_path(yv, fit_ladder(lam, lambda_max(yv)), opts.sweep_tol).entries[0].fit
 
 
 def fit_path(y, lambda_grid, sweep_tol: float = 1e-10) -> LambdaPath:
-    """Fit every lambda on a strictly increasing grid. The grid is solved from
-    its largest lambda down, starting from the affine least-squares fit (exact
-    at and above lambda_max) and warm-starting each entry from the next larger
-    one; entries come back in ascending order. Every emitted fit carries its
-    KKT certificate, and a fit is flagged converged only when its rung met the
-    stopping rule within 10 * n rounds and the certificate passed; the path
-    continues past a flagged rung. At lam = 0 the fit is y itself.
+    """Fit every lambda on a strictly increasing grid through
+    ``kkt.certified_path``, starting from the affine least-squares fit (exact
+    at and above lambda_max) and warm-starting each level from the next larger
+    one. A level's own verdict is that it met the stopping rule within
+    10 * n rounds; the path continues past a level that did not.
     """
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    grid = validate_grid(lambda_grid)
     line = affine_fit(yv)
     nu = np.full(yv.size, (line[-1] - line[0]) / (yv.size - 1))
     nu[0] = line[0]  # one run after index 0: the penalty of the affine fit is 0
-    state = FusedState(y=yv, nu=nu)
+    r = yv - np.cumsum(nu)
     sums = _prefix_sums(yv)
-    entries = []
-    warm = False
-    for lam in reversed(grid):
-        if lam == 0.0:  # the interpolant, not a warm start
-            mu, ok, warm = yv.copy(), True, False
-        else:
-            _, ok = _solve_at(yv, state.nu, state.resid, lam, sums, sweep_tol,
-                              ROUNDS_PER_POINT * yv.size)
-            mu = state.mu()
-        report = check_kkt(yv, mu, lam)
-        fit_l = TrendFit.from_mu(yv, mu, lam, converged=ok and report.passed, solver="pathwise")
-        entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
-        warm = True
-    return LambdaPath(entries=tuple(reversed(entries)))
+
+    def solve(lam):
+        _, ok = _solve_at(yv, nu, r, lam, sums, sweep_tol, ROUNDS_PER_POINT * yv.size)
+        return np.cumsum(nu), ok
+
+    return certified_path(yv, lambda_grid, solve, "pathwise")

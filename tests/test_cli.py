@@ -415,7 +415,8 @@ class TestRemovedFlags:
         ["irrep", "--n", "10", "--output", "m.txt"],
         ["path", "--input", "y.csv", "--tol", "1e-6"],
         ["select", "--input", "y.csv", "--tol", "1e-6"],
-    ], ids=["irrep-output", "path-tol", "select-tol"])
+        ["fit", "--input", "y.csv", "--lambda", "1", "--tol", "1e-6"],
+    ], ids=["irrep-output", "path-tol", "select-tol", "fit-tol"])
     def test_unread_flag_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

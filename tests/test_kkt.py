@@ -4,7 +4,9 @@ import pytest
 from trendfilter.core import TimeSeries
 from trendfilter.kkt import (
     affine_fit,
+    certified_path,
     check_kkt,
+    fit_ladder,
     lambda_max,
     oracle_solve,
 )
@@ -97,6 +99,37 @@ class TestCheckKkt:
         y = random_walk(rng, 12)
         ts = TimeSeries(y)
         assert check_kkt(ts, y.copy(), 0.0).passed
+
+
+class TestCertifiedPath:
+    def test_converged_needs_the_rung_verdict_and_the_certificate(self, rng):
+        # the affine fit is optimal above lambda_max and fails well below it
+        y = random_walk(rng, 20)
+        lmax = lambda_max(y)
+        grid = [0.0, 0.1 * lmax, 1.5 * lmax, 2.0 * lmax]
+        calls = []
+
+        def solve(lam):
+            calls.append(lam)
+            return affine_fit(y), lam != grid[2]
+
+        path = certified_path(y, grid, solve, "stub")
+        assert calls == grid[:0:-1]  # descending, never at lam = 0
+        assert [e.kkt.passed for e in path.entries] == [True, False, True, True]
+        assert [e.fit.converged for e in path.entries] == [True, False, False, True]
+        assert [e.warm_start for e in path.entries] == [False, True, True, False]
+        assert np.array_equal(path.entries[0].fit.mu_hat, y)
+        assert {e.fit.solver for e in path.entries} == {"stub"}
+
+
+class TestFitLadder:
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 10.0, 12.0])
+    def test_lam_alone_outside_the_open_range(self, lam):
+        assert fit_ladder(lam, 10.0) == [lam]
+
+    def test_rungs_grow_by_the_ratio_up_to_lmax(self):
+        assert fit_ladder(1.0, 10.0) == [1.0, 2.5, 6.25, 10.0]
+        assert fit_ladder(4.0, 10.0) == [4.0, 10.0]  # 4 * 2.5 is not below lmax
 
 
 class TestOracle:

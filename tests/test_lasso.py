@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from trendfilter.kkt import affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter import lasso
 from trendfilter.lasso import (LassoProblem, _admit, _block_ls_step, _cd_pass, active_set_polish,
                                budget_path, cd_fit, fit, fit_path)
-from trendfilter.selection import default_grid
+from trendfilter.selection import default_grid, select
 from trendfilter.simulate import PRESETS, NoiseSpec, add_noise, gen_trend
 from tests.conftest import random_walk
 
@@ -102,6 +104,18 @@ class TestCdPass:
         slow = [len(extract_kinks(e.fit)) for e in budget_path(y, grid).entries]
         assert fast == slow
 
+    def test_budget_interpolant_is_never_selected(self):
+        # a lam = 0 fit of y plus round-off has a tiny positive rss, and SIC
+        # would pick it with n - 2 kinks
+        y = _noisy("example2", 200, 400.0, 7)
+        path = budget_path(y, default_grid(lambda_max(y)))
+        e = path.entries[0]
+        assert np.array_equal(e.fit.mu_hat, y) and e.fit.solver == "lasso-budget"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the lam = 0 entry interpolates
+            lam, _, _ = select(path, y, criterion="sic")
+        assert lam > 0
+
 
 class TestKktAtConvergence:
     def test_coordinatewise_conditions(self, rng):
@@ -140,17 +154,17 @@ class TestActiveSetPolish:
         lam = lambda_max(y) / 4
         prob = LassoProblem(y, lam)
         res = fit(y, lam)
-        polished = active_set_polish(prob, res)
-        assert np.max(np.abs(polished.mu_hat - res.mu_hat)) < 1e-9 * (1 + np.max(np.abs(y)))
+        polished, _ = active_set_polish(prob, res.mu_hat)
+        assert np.max(np.abs(polished - res.mu_hat)) < 1e-9 * (1 + np.max(np.abs(y)))
 
     def test_beyond_lambda_max_affine_support(self, rng):
         y = random_walk(rng, 25)
         lam = 1.5 * lambda_max(y)
         prob = LassoProblem(y, lam)
-        res = active_set_polish(prob, cd_fit(prob, tol=1e-4, max_iter=5))
-        beta = prob.Z.encode(res.mu_hat)
+        mu, _ = active_set_polish(prob, cd_fit(prob, tol=1e-4, max_iter=5).mu_hat)
+        beta = prob.Z.encode(mu)
         assert np.max(np.abs(beta[2:])) < 1e-10 * (1 + np.max(np.abs(beta)))
-        assert np.max(np.abs(res.mu_hat - affine_fit(y))) < 1e-8 * (1 + np.max(np.abs(y)))
+        assert np.max(np.abs(mu - affine_fit(y))) < 1e-8 * (1 + np.max(np.abs(y)))
 
     def test_matches_tightly_converged_cd(self):
         # noiseless two-kink trend: polish lands where slow plain descent lands
@@ -160,9 +174,9 @@ class TestActiveSetPolish:
         lam = lambda_max(y) / 50
         prob = LassoProblem(y, lam)
         seeded = cd_fit(prob, tol=1e-4, max_iter=40)
-        polished = active_set_polish(prob, seeded)
-        slow = cd_fit(prob, beta_init=prob.Z.encode(polished.mu_hat), tol=1e-14, max_iter=200)
-        assert np.max(np.abs(polished.mu_hat - slow.mu_hat)) <= 1e-8 * (1 + np.max(np.abs(y)))
+        polished, _ = active_set_polish(prob, seeded.mu_hat)
+        slow = cd_fit(prob, beta_init=prob.Z.encode(polished), tol=1e-14, max_iter=200)
+        assert np.max(np.abs(polished - slow.mu_hat)) <= 1e-8 * (1 + np.max(np.abs(y)))
 
     def test_fit_reports_the_polish_verdict(self, rng):
         y = random_walk(rng, 60)

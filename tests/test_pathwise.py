@@ -1,12 +1,13 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from trendfilter import pathwise
+from trendfilter import kkt, pathwise
 from trendfilter.core import extract_kinks, objective_value
 from trendfilter.kkt import KktReport, affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter.pathwise import (
     DEADBAND,
-    FusedState,
     fit,
     fit_path,
     _prefix_sums,
@@ -23,6 +24,22 @@ from trendfilter.simulate import (
     NoiseSpec, PiecewiseLinearSpec, add_noise, example1, example2, gen_trend,
 )
 from tests.conftest import random_walk
+
+
+@dataclass
+class FusedState:
+    """Mutable solver state: slope vector, residual, and the implied run partition."""
+
+    y: np.ndarray
+    nu: np.ndarray
+    resid: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.resid is None:
+            self.resid = self.y - np.cumsum(self.nu)
+
+    def mu(self) -> np.ndarray:
+        return np.cumsum(self.nu)
 
 
 def descent_update(state: FusedState, k: int, lam: float) -> float | None:
@@ -579,7 +596,7 @@ class TestFitPath:
         y = random_walk(rng, 30)
         failing = KktReport(max_inactive_ratio=2.0, active_sign_mismatches=0,
                             stationarity_residual=0.0, passed=False)
-        monkeypatch.setattr(pathwise, "check_kkt", lambda *args, **kwargs: failing)
+        monkeypatch.setattr(kkt, "check_kkt", lambda *args, **kwargs: failing)
         path = fit_path(y, [0.1 * lambda_max(y)])
         assert not path.entries[0].fit.converged
         assert not fit(y, 0.1 * lambda_max(y)).converged
