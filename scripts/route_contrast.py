@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-import warnings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -35,10 +34,8 @@ def main():
     mu0 = gen_trend(spec)
     y = add_noise(mu0, NoiseSpec(snr=args.snr, seed=args.seed))
     grid = default_grid(lambda_max(y))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        _, fit_p, _ = select(pathwise.fit_path(y, grid), y, "mc")
-        _, fit_l, _ = select(lasso.budget_path(y, grid), y, "mc")
+    _, fit_p, _ = select(pathwise.fit_path(y, grid), y, "mc")
+    _, fit_l, _ = select(lasso.budget_path(y, grid), y, "mc")
 
     nu0 = np.concatenate([[mu0[0]], np.diff(mu0)])
     with open(args.output, "w", newline="") as fh:

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -110,9 +109,7 @@ def _path_for(args, y: TimeSeries):
 def cmd_path(args) -> int:
     y = io.read_series(args.input)
     path = _path_for(args, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # grid's lam=0 entry interpolates by design
-        lam_opt, fit, scores = select(path, y, criterion=args.criterion, tol_kink=args.tol_kink)
+    lam_opt, fit, scores = select(path, y, criterion=args.criterion, tol_kink=args.tol_kink)
     out = _outpath(args, "scores.csv")
     io.write_scores_csv(out, scores,
                         {"lambda": lam_opt, "criterion": args.criterion},
@@ -133,9 +130,7 @@ def cmd_path(args) -> int:
 def cmd_select(args) -> int:
     y = io.read_series(args.input)
     path = _path_for(args, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        lam_opt, fit, _scores = select(path, y, criterion=args.criterion, tol_kink=args.tol_kink)
+    lam_opt, fit, _scores = select(path, y, criterion=args.criterion, tol_kink=args.tol_kink)
     out = _outpath(args, "selected.csv")
     io.write_fit_csv(out, y, fit, extract_kinks(fit, args.tol_kink), args_echo=_args_echo(args))
     print(f"selected lambda={lam_opt:.12g} ({args.criterion}) -> {out}")

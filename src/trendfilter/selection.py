@@ -6,14 +6,15 @@ Both score a fit through its residual sum of squares and its kink count k:
     mc  = log(rss / n) + k * (k + 1) * log(n) / n
 
 The +2 in the SIC degrees of freedom is the affine part of the fit. An exact
-interpolation (rss = 0, the lam = 0 endpoint) has no finite score; it is
-excluded from selection with a warning rather than failing the path.
+interpolation (rss = 0, the lam = 0 endpoint of every default grid) has no
+finite score: it scores -inf and is left out of selection, silently, since
+every path over a default grid has one. A path with no other entry raises
+``NoSelectableModelError``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .core import KINK_TOL, LambdaPath, TimeSeries, TrendFit, extract_kinks
@@ -39,7 +40,6 @@ def score(y, fit: TrendFit, tol_kink: float = KINK_TOL) -> SelectionScore:
     rss = float(resid @ resid)
     k = len(extract_kinks(fit, tol_kink))
     if rss <= 0.0:
-        warnings.warn("zero residual (interpolating fit); excluded from selection")
         return SelectionScore(fit.lam, rss, k, float("-inf"), float("-inf"))
     logn = math.log(n)
     base = math.log(rss / n)

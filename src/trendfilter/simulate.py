@@ -21,7 +21,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -301,11 +300,7 @@ def run_replication(config: ExperimentConfig, rep: int) -> MetricsRow:
                       convention=config.snr_convention)
     y = add_noise(mu0, noise)
     path = _fit_path_for(config, y)
-    with warnings.catch_warnings():
-        # the grid's lam = 0 entry interpolates by design; its exclusion is expected
-        warnings.simplefilter("ignore", UserWarning)
-        lam_opt, fit, _scores = select(path, y, criterion=config.criterion,
-                                       tol_kink=config.tol_kink)
+    lam_opt, fit, _scores = select(path, y, criterion=config.criterion, tol_kink=config.tol_kink)
     truth = config.spec.true_kinks()
     found = extract_kinks(fit, config.tol_kink)
     e_ab, e_ba, hd = hausdorff(found.indices, truth.indices, n=config.spec.n)

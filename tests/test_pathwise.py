@@ -11,13 +11,11 @@ from trendfilter.pathwise import (
     fit,
     fit_path,
     _prefix_sums,
-    _pwq_min,
     _run_values,
     _runs_of,
     _solve_at,
     _split_scan,
     _structure_polish,
-    _try_fuse,
 )
 from trendfilter.selection import default_grid
 from trendfilter.simulate import (
@@ -42,159 +40,83 @@ class FusedState:
         return np.cumsum(self.nu)
 
 
-def descent_update(state: FusedState, k: int, lam: float) -> float | None:
-    """Exact single-coordinate minimization at 0-based coordinate k.
-
-    Returns the new value when the coordinate moves, None on no-change. The
-    hinge breakpoints are the current neighbouring slopes: none for k = 0,
-    only the right one for k = 1 (the first penalized difference is
-    nu_3 - nu_2), only the left one for k = n-1.
-    """
-    nu, r = state.nu, state.resid
-    n = nu.size
-    if not 0 <= k < n:
-        raise IndexError(k)
-    w2 = float(n - k)
-    c = w2 * nu[k] + float(r[k:].sum())
-    b1 = nu[k - 1] if k >= 2 else None
-    b2 = nu[k + 1] if (k >= 1 and k + 1 < n) else None
-    prefer = nu[k + 1] if k + 1 < n else nu[k]
-    v = _pwq_min(w2, c, lam, b1, b2, prefer)
-    d = v - nu[k]
-    if d == 0.0 or abs(d) <= DEADBAND * (1.0 + abs(v)):
-        return None
-    nu[k] = v
-    r[k:] -= d
-    return v
-
-
-def fusion_update(state: FusedState, k: int, m: int, lam: float) -> tuple[bool, float | None]:
-    """Propose nu[k-m..k] = alpha (0-based, 1 <= m <= k), the exact minimiser
-    of the joint move, which may sit at a neighbour's value, and accept if the
-    objective does not increase. Returns (accepted, alpha)."""
-    n = state.nu.size
-    if not (1 <= m <= k) or k >= n:
-        raise IndexError((k, m))
-    acc = _try_fuse(state.y, state.nu, state.resid, lam, k - m, k)
-    return acc, (float(state.nu[k]) if acc else None)
-
-
 def groups(state: FusedState) -> list[tuple[int, int]]:
     """Maximal runs of exactly equal slope values, as (start, end) inclusive, 0-based."""
-    return list(zip(*(x.tolist() for x in _runs_of(state.nu))))
-
-
-def brute_1d_min(y, nu, k, lam, halfwidth=3.0, points=20001):
-    """Numeric 1-d oracle for a single coordinate move."""
-    grid = np.linspace(nu[k] - halfwidth, nu[k] + halfwidth, points)
-    trial = nu.copy()
-    best_v, best_f = nu[k], np.inf
-    for v in grid:
-        trial[k] = v
-        f = objective_value(y, np.cumsum(trial), lam)
-        if f < best_f:
-            best_f, best_v = f, v
-    return best_v
-
-
-def _reference_pwq_min(w2, c, lam, b1, b2, prefer):
-    """The loop form of the 1-d minimiser: one stationary candidate per
-    interval between the sorted breakpoints, then the breakpoint tie rule."""
-    bps = [b for b in (b1, b2) if b is not None]
-    if not bps:
-        return c / w2, True
-    bps.sort()
-    k = len(bps)
-    lo = -np.inf
-    for i in range(k + 1):
-        hi = bps[i] if i < k else np.inf
-        v = (c - lam * (2 * i - k)) / w2
-        if (v > lo or i == 0) and v <= hi:
-            return v, True
-        lo = hi
-    if k == 1 or bps[0] == bps[1]:
-        return bps[0], False
-
-    def psi(v):
-        return 0.5 * w2 * v * v - c * v + lam * (abs(v - bps[0]) + abs(v - bps[1]))
-
-    p0, p1 = psi(bps[0]), psi(bps[1])
-    if abs(p0 - p1) <= 1e-15 * (1.0 + abs(p0)):
-        return prefer, False
-    return (bps[0] if p0 < p1 else bps[1]), False
+    starts = _runs_of(state.nu).tolist()
+    return list(zip(starts, [s - 1 for s in starts[1:]] + [state.nu.size - 1]))
 
 
 def _loop_runs(nu):
-    """Maximal runs of exactly equal values, (start, end) inclusive, in a loop."""
-    runs = []
-    s = 0
+    """Starts of the maximal runs of exactly equal values, in a loop."""
+    starts = [0]
     for i in range(1, nu.size):
-        if nu[i] != nu[s]:
-            runs.append((s, i - 1))
-            s = i
-    runs.append((s, nu.size - 1))
-    return runs
+        if nu[i] != nu[starts[-1]]:
+            starts.append(i)
+    return starts
 
 
 def _reference_split_scan(y, nu, r, lam):
-    """The split scan as a loop over every coordinate of every run, with the
-    subgradient and the runs read before any move: each run with a violated
-    position strictly inside it splits at its largest violation (the first on
-    a tie) by its left, else its right, sub-run move, in run order."""
+    """The split scan as a loop over the positions: walk each maximal band of
+    consecutive violations, keep its largest |g| (the first on a tie), and
+    cut there with the sign of g unless the peak already starts a run."""
     n = y.size
-    if lam <= 0:
-        return 0
-    gabs = np.abs(np.cumsum(np.cumsum(r))[:n - 2])
+    g = np.cumsum(np.cumsum(r))[:n - 2]
     bound = lam * (1.0 + pathwise.SPLIT_SLACK)
-    splits = 0
-    for a, b in _loop_runs(nu):
-        peak = None
-        for p in range(max(a + 1, 2), b + 1):
-            if gabs[p - 2] > bound and (peak is None or gabs[p - 2] > gabs[peak - 2]):
-                peak = p
-        if peak is None:
+    cuts, signs = [], []
+    p = 2
+    while p < n:
+        if abs(g[p - 2]) <= bound:
+            p += 1
             continue
-        if _try_fuse(y, nu, r, lam, a, peak - 1) or _try_fuse(y, nu, r, lam, peak, b):
-            splits += 1
-    return splits
+        peak = p
+        while p < n and abs(g[p - 2]) > bound:
+            if abs(g[p - 2]) > abs(g[peak - 2]):
+                peak = p
+            p += 1
+        if nu[peak] == nu[peak - 1]:
+            cuts.append(peak)
+            signs.append(np.sign(g[peak - 2]))
+    return np.array(cuts, dtype=int), np.array(signs, dtype=float)
 
 
-def _reference_polish(y, nu, r, lam):
+def _reference_polish(y, nu, r, lam, cuts, cut_signs):
     """The structure polish with its runs, boundary signs and collision scan
-    in Python loops; the first collision wins a tie (strict <)."""
+    in Python loops: the cuts open boundaries with their own signs, and every
+    boundary that closes at the first collision step merges in that step."""
     n = y.size
-    runs = _loop_runs(nu)
-    a = np.array([s for s, _ in runs])
-    b = np.array([e for _, e in runs])
+    frozen = dict(zip(np.asarray(cuts).tolist(), np.asarray(cut_signs).tolist()))
+    a = np.array(sorted(set(_loop_runs(nu)) | set(frozen)))
     alpha = nu[a]
+    signs = [0.0 if a[g] < 2 else frozen.get(int(a[g]), np.sign(alpha[g] - alpha[g - 1]))
+             for g in range(1, a.size)]
     cs_y = np.concatenate([[0.0], np.cumsum(y)])
     cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
-    for _ in range(len(runs) + 8):
+    for _ in range(a.size + 8):
         G = a.size
-        pb = [g for g in range(1, G) if a[g] >= 2]
-        signs = np.array([np.sign(alpha[g] - alpha[g - 1]) for g in pb])
         h = np.zeros(G)
-        for g, sg in zip(pb, signs):
-            h[g] += sg
-            h[g - 1] -= sg
+        for g in range(1, G):
+            h[g] += signs[g - 1]
+            h[g - 1] -= signs[g - 1]
+        b = np.array([*(a[1:] - 1), n - 1])
         d = pathwise._run_values(a, b, cs_y, cs_ty, h, lam) - alpha
-        theta = 1.0
-        collide = -1
-        for g, sg in zip(pb, signs):
+        steps = {}
+        for g in range(1, G):
             diff0 = alpha[g] - alpha[g - 1]
             ddiff = d[g] - d[g - 1]
-            if ddiff != 0.0 and sg * (diff0 + ddiff) < 0:
-                tc = -diff0 / ddiff
-                if 0.0 <= tc < theta:
-                    theta = tc
-                    collide = g
-        alpha = alpha + theta * d
-        if collide < 0:
+            if ddiff != 0.0 and signs[g - 1] * (diff0 + ddiff) < 0:
+                tc = max(-diff0 / ddiff, 0.0)
+                if tc < 1.0:
+                    steps[g] = tc
+        if not steps:
+            alpha = alpha + d
             break
-        a = np.delete(a, collide)
-        b = np.delete(b, collide - 1)
-        alpha = np.delete(alpha, collide)
-    nu_new = np.repeat(alpha, b - a + 1)
+        theta = min(steps.values())
+        alpha = alpha + theta * d
+        closing = [g for g, tc in steps.items() if tc == theta]
+        a = np.delete(a, closing)
+        alpha = np.delete(alpha, closing)
+        signs = [sg for g, sg in enumerate(signs, start=1) if g not in closing]
+    nu_new = np.repeat(alpha, np.diff(a, append=n))
     rel = float(np.max(np.abs(nu_new - nu) / (1.0 + np.abs(nu_new))))
     if rel <= pathwise.DEADBAND:
         return 0.0
@@ -248,26 +170,13 @@ def _same_bits(x, z):
 
 
 class TestReferenceEquivalence:
-    """The 1-d minimiser, the batched split scan and the numpy collision walk
-    against their loop forms, bit for bit."""
-
-    def test_pwq_min_matches_reference(self, rng):
-        cases = [(3.0, 3000.0, 1.0, 1000.0, 1000.0 + 1e-5, 1000.0 + 1e-5)]  # the tie branch
-        for _ in range(4000):
-            w2 = float(rng.integers(1, 50))
-            lam = float(rng.choice([0.0, rng.exponential()]))
-            pts = np.round(rng.normal(size=3), int(rng.integers(0, 3)))  # rounding makes ties
-            b1, b2 = [None if rng.random() < 0.2 else float(v) for v in pts[:2]]
-            cases.append((w2, w2 * pts[2], lam, b1, b2, float(rng.normal())))
-        assert _reference_pwq_min(*cases[0]) == (cases[0][5], False)
-        for args in cases:
-            v_ref, _ = _reference_pwq_min(*args)
-            assert _same_bits(_pwq_min(*args), v_ref), args
+    """The band split scan and the numpy collision walk against their loop
+    forms, bit for bit."""
 
     def test_split_scan_matches_reference(self, rng):
-        # random run patterns with violations in several runs, at single-point
-        # runs, and at a run's first index (which is no split and is skipped)
-        seen = {"several runs": 0, "single-point run": 0, "run start first": 0, "several splits": 0}
+        # random run patterns whose violations form bands that cross runs,
+        # peak at a run start (no cut) and come several to a scan
+        seen = {"band over runs": 0, "peak at run start": 0, "several bands": 0}
         slack = pathwise.SPLIT_SLACK
         for trial in range(400):
             lengths = rng.integers(1, 7, size=int(rng.integers(2, 10)))
@@ -277,59 +186,61 @@ class TestReferenceEquivalence:
             nu = np.repeat(rng.normal(size=lengths.size), lengths)
             y = np.cumsum(nu) + rng.normal(0.0, 0.5, n)
             r = y - np.cumsum(nu)
-            graw = np.abs(np.cumsum(np.cumsum(r))[:n - 2])
-            lam = float(np.quantile(graw, rng.choice([0.1, 0.5, 0.8, 0.95]))) / (1.0 + slack)
-            viol = np.flatnonzero(graw > lam * (1.0 + slack)) + 2
-            starts = {a for a, _ in _loop_runs(nu)}
-            run_of = {p: a for a, b in _loop_runs(nu) for p in range(a, b + 1)}
-            inner = [p for p in viol if p not in starts]
-            seen["several runs"] += len({run_of[p] for p in inner}) >= 2
-            seen["single-point run"] += any(p in starts and p + 1 in starts for p in viol)
-            seen["run start first"] += bool(inner) and viol[0] in starts
-            state = FusedState(y=y, nu=nu.copy(), resid=r.copy())
-            ref = FusedState(y=y, nu=nu.copy(), resid=r.copy())
-            got = _split_scan(y, state.nu, state.resid, lam)
-            want = _reference_split_scan(y, ref.nu, ref.resid, lam)
-            assert got == want, trial
-            assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid), trial
-            seen["several splits"] += got >= 2
+            gabs = np.abs(np.cumsum(np.cumsum(r))[:n - 2])
+            lam = float(np.quantile(gabs, rng.choice([0.1, 0.5, 0.8, 0.95]))) / (1.0 + slack)
+            viol = (np.flatnonzero(gabs > lam * (1.0 + slack)) + 2).tolist()
+            bands = [[p] for p in viol[:1]]
+            for q, p in zip(viol, viol[1:]):
+                if p == q + 1:
+                    bands[-1].append(p)
+                else:
+                    bands.append([p])
+            starts = set(_loop_runs(nu))
+            peaks = [max(band, key=lambda p: (gabs[p - 2], -p)) for band in bands]
+            seen["band over runs"] += any(set(band[1:]) & starts for band in bands)
+            seen["peak at run start"] += any(p in starts for p in peaks)
+            seen["several bands"] += len(bands) >= 2
+            got = _split_scan(y, nu, r, lam)
+            want = _reference_split_scan(y, nu, r, lam)
+            assert got[0].tolist() == want[0].tolist(), trial
+            assert _same_bits(got[1], want[1]), trial
+            assert got[0].tolist() == [p for p in peaks if p not in starts], trial
         assert min(seen.values()) > 0, seen
-        y = random_walk(rng, 30)
-        state = FusedState(y=y, nu=np.full(30, 0.1))
-        assert _split_scan(y, state.nu, state.resid, 0.0) == _reference_split_scan(
-            y, state.nu, state.resid, 0.0) == 0
 
     @pytest.mark.parametrize("case", ["random-walk", "rounded", "example2"])
     def test_polish_matches_reference(self, rng, case):
         # from the interpolant, where the walk merges many runs, and from the
-        # solver's states down a path, each followed by split scans that open
-        # new runs for the next polish
+        # solver's states down a path, each polish given the cuts of a split
+        # scan of its state
         y = _case_series(rng, case)
         start = _interpolation(y)
         states = [(y, start.nu, start.resid, 0.02 * lambda_max(y))]
         states += _fused_states(y, (0.5, 0.2, 0.02, 0.002))
-        moved = 0
+        moved = cut = 0
         for k, (y, nu0, r0, lam) in enumerate(states):
             state = FusedState(y=y, nu=nu0.copy(), resid=r0.copy())
             for rnd in range(3):
+                cuts, signs = _split_scan(y, state.nu, state.resid, lam)
                 nu, r = state.nu.copy(), state.resid.copy()
-                got = _structure_polish(y, state.nu, state.resid, lam, _prefix_sums(y))
-                want = _reference_polish(y, nu, r, lam)
+                got = _structure_polish(y, state.nu, state.resid, lam, _prefix_sums(y),
+                                        cuts, signs)
+                want = _reference_polish(y, nu, r, lam, cuts, signs)
                 assert got == want, (k, rnd)
                 assert _same_bits(state.nu, nu) and _same_bits(state.resid, r), (k, rnd)
                 moved += got > 0.0
-                _split_scan(y, state.nu, state.resid, lam)
-        assert moved >= len(states)
+                cut += cuts.size > 0
+        assert moved >= len(states) and cut >= len(states)
 
-    def test_collision_walk_ties_go_to_the_first_boundary(self, monkeypatch):
+    def test_collision_walk_merges_tied_boundaries_at_once(self, monkeypatch):
         # runs start at a = 0, 1, 3, 5, 7, 9. The full step flips the penalised
-        # boundaries 2 and 4 both at tc = 0.5, so the walk merges boundary 2
-        # first. Boundary 1 (a_1 = 1) is unpenalised: its sign would flip at
-        # tc = 0.25, but it carries no sign and must not collide.
+        # boundaries at a = 3 and a = 7 both at tc = 0.5, so the walk merges
+        # both in its first step. Boundary a = 1 is unpenalised: its sign would
+        # flip at tc = 0.25, but it carries no sign and must not collide.
         nu = np.repeat([5.0, 0.0, 1.0, 2.0, 3.0, 4.0], [1, 2, 2, 2, 2, 3])
         target = np.zeros(nu.size)
         target[[0, 1, 3, 5, 7, 9]] = [5.0, 20.0, 19.0, 20.0, 19.0, 20.0]
         y = np.cumsum(nu) + np.linspace(-1.0, 1.0, nu.size)
+        no_cuts = (np.empty(0, dtype=int), np.empty(0))
         calls = []
 
         def run_values(a, b, cs_y, cs_ty, h, lam):
@@ -338,63 +249,28 @@ class TestReferenceEquivalence:
 
         monkeypatch.setattr(pathwise, "_run_values", run_values)
         state = FusedState(y=y, nu=nu.copy())
-        got = _structure_polish(y, state.nu, state.resid, 0.1, _prefix_sums(y))
+        got = _structure_polish(y, state.nu, state.resid, 0.1, _prefix_sums(y), *no_cuts)
         walk, calls[:] = list(calls), []
         ref = FusedState(y=y, nu=nu.copy())
-        want = _reference_polish(y, ref.nu, ref.resid, 0.1)
+        want = _reference_polish(y, ref.nu, ref.resid, 0.1, *no_cuts)
         assert walk == calls
-        assert [a for a, _, _ in walk] == [[0, 1, 3, 5, 7, 9], [0, 1, 5, 7, 9]]
+        assert [a for a, _, _ in walk] == [[0, 1, 3, 5, 7, 9], [0, 1, 5, 9]]
         assert got == want
         assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid)
 
 
-class TestDescentUpdate:
-    def test_exact_coordinate_minimizer_at_lambda_zero(self, rng):
-        # the accepted value must do at least as well as a dense 1-d scan
-        y = random_walk(rng, 9)
-        nu = rng.normal(size=9)
-        for k in (0, 3, 8):
-            state = FusedState(y=y, nu=nu.copy())
-            descent_update(state, k, 0.0)
-            trial = nu.copy()
-            trial[k] = brute_1d_min(y, nu, k, 0.0, halfwidth=6.0)
-            f_update = objective_value(y, state.mu(), 0.0)
-            f_scan = objective_value(y, np.cumsum(trial), 0.0)
-            assert f_update <= f_scan + 1e-9 * (1 + abs(f_scan))
+class TestFitPath:
+    def test_lambda_zero_interpolates(self, rng):
+        y = random_walk(rng, 30)
+        path = fit_path(y, [0.0])
+        assert np.array_equal(path.entries[0].fit.mu_hat, y)
+        assert not path.entries[0].warm_start
 
-    def test_matches_brute_force_with_penalty(self, rng):
-        y = random_walk(rng, 8)
-        nu = rng.normal(size=8)
-        for k in range(8):
-            state = FusedState(y=y, nu=nu.copy())
-            descent_update(state, k, 0.7)
-            trial = nu.copy()
-            trial[k] = brute_1d_min(y, nu, k, 0.7, halfwidth=6.0)
-            f_update = objective_value(y, state.mu(), 0.7)
-            f_scan = objective_value(y, np.cumsum(trial), 0.7)
-            assert f_update <= f_scan + 1e-9 * (1 + abs(f_scan))
-
-    def test_global_minimum_is_fixed_point(self):
-        # y generated from a constant slope: lam = 0 optimum, and the penalty is
-        # already zero, so no coordinate moves at any lam
-        nu_star = np.full(7, 1.3)
-        y = np.cumsum(nu_star)
-        for lam in (0.0, 2.0):
-            state = FusedState(y=y, nu=nu_star.copy())
-            for k in range(7):
-                assert descent_update(state, k, lam) is None
-
-    def test_objective_never_increases(self, rng):
-        y = random_walk(rng, 12)
-        state = FusedState(y=y, nu=rng.normal(size=12))
-        lam = 0.4
-        f = objective_value(y, state.mu(), lam)
-        for _ in range(200):
-            k = int(rng.integers(0, 12))
-            descent_update(state, k, lam)
-            f_new = objective_value(y, state.mu(), lam)
-            assert f_new <= f + 1e-12 * (1 + abs(f))
-            f = f_new
+    def test_beyond_lambda_max_is_affine(self, rng):
+        y = random_walk(rng, 30)
+        path = fit_path(y, [2.0 * lambda_max(y)])
+        mu = path.entries[0].fit.mu_hat
+        assert np.max(np.abs(mu - affine_fit(y))) < 1e-8 * (1 + np.max(np.abs(y)))
 
     def test_random_start_sweeps_reach_oracle_objective(self, rng):
         # rounds of polish and split scan from a random start, no continuation
@@ -407,33 +283,6 @@ class TestDescentUpdate:
             _solve_at(y, state.nu, state.resid, lam, _prefix_sums(y), 1e-12, 600)
             f = objective_value(y, state.mu(), lam)
             assert f == pytest.approx(f_star, rel=1e-6)
-
-
-class TestFusionUpdate:
-    def test_idempotent_on_optimal_run(self, rng):
-        # solve once, pick a fused run of the solution, re-propose it
-        y = random_walk(rng, 20)
-        lam = 0.5 * lambda_max(y)
-        res = fit(y, lam)
-        state = FusedState(y=y, nu=res.nu_hat.copy())
-        runs = groups(state)
-        run = max(runs, key=lambda ab: ab[1] - ab[0])
-        a, b = run
-        if b > a:
-            f_before = objective_value(y, state.mu(), lam)
-            accepted, alpha = fusion_update(state, b, b - a, lam)
-            f_after = objective_value(y, state.mu(), lam)
-            assert f_after <= f_before + 1e-10 * (1 + abs(f_before))
-            if accepted:
-                assert np.all(state.nu[a:b + 1] == alpha)
-
-    def test_fusion_merges_bitwise(self, rng):
-        y = random_walk(rng, 15)
-        state = FusedState(y=y, nu=rng.normal(size=15))
-        lam = 5.0 * lambda_max(y)
-        accepted, alpha = fusion_update(state, 7, 4, lam)
-        if accepted:
-            assert np.all(state.nu[3:8] == alpha)
 
     def test_large_lambda_collapses_to_affine(self, rng):
         y = random_walk(rng, 25)
@@ -453,20 +302,6 @@ class TestFusionUpdate:
         assert np.max(np.abs(res.mu_hat - mu_star)) < 1e-7
         assert extract_kinks(res).indices == (5,)          # one split, at the true kink
         assert extract_kinks(mu_star, tol_kink=1e-7).indices == (5,)
-
-
-class TestFitPath:
-    def test_lambda_zero_interpolates(self, rng):
-        y = random_walk(rng, 30)
-        path = fit_path(y, [0.0])
-        assert np.array_equal(path.entries[0].fit.mu_hat, y)
-        assert not path.entries[0].warm_start
-
-    def test_beyond_lambda_max_is_affine(self, rng):
-        y = random_walk(rng, 30)
-        path = fit_path(y, [2.0 * lambda_max(y)])
-        mu = path.entries[0].fit.mu_hat
-        assert np.max(np.abs(mu - affine_fit(y))) < 1e-8 * (1 + np.max(np.abs(y)))
 
     def test_objectives_match_oracle_along_grid(self, rng):
         spec = PiecewiseLinearSpec(n=50, r=(0.3, 0.7), b=(-30.0, 0.0, 30.0))
@@ -540,9 +375,9 @@ class TestFitPath:
         # climbing the grid up from the interpolant left entry 60 (lambda_max)
         # of the step and entry 34 of the spike uncertified. At entry 13 of the
         # third path the subgradient breaks its bound inside the run 678..681,
-        # whose right part must join the runs after it: each sub-run move has
-        # its minimum at a neighbour's value, and a split scan that took only
-        # interior minima left the entry uncertified. In micro units each round
+        # whose right part must join the runs after it: a former sub-run move
+        # had each minimum at a neighbour's value, and a split scan that took
+        # only interior minima left the entry uncertified. In micro units each round
         # lowered the objective by less than a former stall exit's absolute
         # floor of 1e-14, so a rung stopped after five rounds that open splits:
         # a scan that opened one split per round left 35 entries uncertified.
@@ -583,6 +418,32 @@ class TestFitPath:
         entry = fit_path(y, [lambda_max(y)]).entries[0]
         assert scans[0] <= 2
         assert entry.kkt.passed and entry.fit.converged
+
+    def test_rounded_series_levels_end_in_few_scans(self, monkeypatch):
+        # rounded to whole units, levels of this path walked up to 183 rounds
+        # of round-off-sized sub-run moves before a state repeated
+        spec = PiecewiseLinearSpec(n=1000, r=tuple(k / 9 for k in range(1, 9)),
+                                   b=(-20.0, 15.0, -10.0, 25.0, -15.0, 10.0, -25.0, 20.0, -5.0))
+        y = np.round(add_noise(gen_trend(spec), NoiseSpec(25.0, seed=(4, 2, 3))).y)
+        scans, per_level = [0], []
+        split_scan, solve_at = pathwise._split_scan, pathwise._solve_at
+
+        def counting_scan(*args):
+            scans[0] += 1
+            return split_scan(*args)
+
+        def counting_solve(*args):
+            scans[0] = 0
+            out = solve_at(*args)
+            per_level.append(scans[0])
+            return out
+
+        monkeypatch.setattr(pathwise, "_split_scan", counting_scan)
+        monkeypatch.setattr(pathwise, "_solve_at", counting_solve)
+        path = fit_path(y, default_grid(lambda_max(y)))
+        assert len(per_level) == 60 and max(per_level) <= 20, max(per_level)
+        for i, entry in enumerate(path.entries):
+            assert entry.kkt.passed and entry.fit.converged, i
 
     def test_polish_walks_few_collisions(self, monkeypatch):
         # warm-started down from lambda_max, each polish starts near its

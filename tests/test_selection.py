@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,8 +53,7 @@ class TestScore:
 
     def test_interpolation_scores_minus_inf(self, rng):
         y = random_walk(rng, 20)
-        with pytest.warns(UserWarning):
-            s = score(y, _fit_for(y, y.copy(), 0.0))
+        s = score(y, _fit_for(y, y.copy(), 0.0))
         assert s.sic == -math.inf and s.mc == -math.inf
 
     def test_monotone_in_k_for_fixed_rss(self):
@@ -86,16 +86,25 @@ class TestSelect:
         y = random_walk(rng, 20)
         f0 = _fit_for(y, y.copy(), 0.0)      # rss = 0: excluded
         f1 = _fit_for(y, y * 0.95, 1.0)
-        with pytest.warns(UserWarning):
-            lam, chosen, _ = select(_path(y, [f0, f1]), y, "mc")
+        lam, chosen, _ = select(_path(y, [f0, f1]), y, "mc")
         assert lam == 1.0
 
     def test_all_infinite_raises(self, rng):
         y = random_walk(rng, 20)
         f0 = _fit_for(y, y.copy(), 0.0)
-        with pytest.warns(UserWarning):
-            with pytest.raises(NoSelectableModelError):
-                select(_path(y, [f0]), y, "mc")
+        with pytest.raises(NoSelectableModelError):
+            select(_path(y, [f0]), y, "mc")
+
+    def test_default_grid_path_selects_without_warning(self, rng):
+        # every default grid leads with lam = 0, whose interpolant is left out
+        # of selection as a matter of course, not as a warning
+        y = random_walk(rng, 40)
+        path = fit_path(y, default_grid(lambda_max(y)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lam, _, scores = select(path, y, "mc")
+        assert caught == []
+        assert scores[0].mc == -math.inf and lam > 0
 
     def test_reorder_invariance(self, rng):
         y = random_walk(rng, 30)
