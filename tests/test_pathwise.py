@@ -7,7 +7,6 @@ from trendfilter import kkt, pathwise
 from trendfilter.core import extract_kinks, objective_value
 from trendfilter.kkt import KktReport, affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter.pathwise import (
-    DEADBAND,
     fit,
     fit_path,
     _prefix_sums,
