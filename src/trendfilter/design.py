@@ -116,12 +116,22 @@ class DesignZ:
         c = np.asarray(cols, dtype=float)
         r = c if rows is None else np.asarray(rows, dtype=float)
         lo, hi = np.minimum.outer(r, c), np.maximum.outer(r, c)
-        L = self.n - hi
-        s1 = L * (L + 1) / 2.0
-        G = L * (L + 1) * (2 * L + 1) / 6.0 + (hi - lo) * s1
-        const = lo == 0
+        const = lo == 0  # the ones column meets a ramp
+        corner = const & (hi == 0)
+        # in place, in three block-sized arrays: with L = n - hi and
+        # s1 = L (L + 1) / 2, G = L (L + 1) (2 L + 1) / 6 + (hi - lo) s1
+        width, L = np.subtract(hi, lo, out=lo), np.subtract(self.n, hi, out=hi)
+        s1 = L + 1
+        s1 *= L
+        G = np.multiply(L, 2, out=L)
+        G += 1
+        G *= s1
+        G /= 6.0
+        s1 /= 2.0
+        width *= s1
+        G += width
         G[const] = s1[const]
-        G[const & (hi == 0)] = float(self.n)
+        G[corner] = float(self.n)
         return G
 
     def dense(self) -> np.ndarray:

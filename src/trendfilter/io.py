@@ -5,7 +5,7 @@ second is used; blank and ``#`` lines are skipped, and a non-numeric first row
 after them is a header. All output is RFC-4180-style CSV, UTF-8, decimal point,
 preceded by ``#``-prefixed metadata lines (tool version and argument echo) so
 every artifact is self-describing.
-Floats are written with repr-level precision for byte-stable reruns.
+Floats are written to 12 significant digits (``.12g``) for byte-stable reruns.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return format(x, ".12g")
     return str(x)
 
@@ -78,10 +74,9 @@ def write_fit_csv(path, y: TimeSeries, fit: TrendFit, kinks: KinkSet, args_echo:
         buf.write(line + "\r\n")
     w = csv.writer(buf)
     w.writerow(["t", "y", "mu_hat", "nu_hat", "beta"])
-    for i in range(y.n):
-        beta = _fmt(float(fit.beta_tail[i - 2])) if i >= 2 else ""
-        w.writerow([i + 1, _fmt(float(y.y[i])), _fmt(float(fit.mu_hat[i])),
-                    _fmt(float(fit.nu_hat[i])), beta])
+    y_s, mu_s, nu_s, beta_s = ([format(v, ".12g") for v in a.tolist()]
+                               for a in (y.y, fit.mu_hat, fit.nu_hat, fit.beta_tail))
+    w.writerows(zip(range(1, y.n + 1), y_s, mu_s, nu_s, ["", ""] + beta_s))
     w.writerow([])
     w.writerow(["kink_time", "sign", "magnitude"])
     for t in kinks.indices:

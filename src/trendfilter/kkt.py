@@ -9,8 +9,8 @@ entries, and the stationarity defect is exactly the affine component left
 over. That recovery is O(n) and avoids forming the ill-conditioned normal
 equations of D'.
 
-Both certified routes emit their paths through :func:`certified_path`, and
-their single fits descend the ladder of :func:`fit_ladder`.
+Both certified routes emit their paths through :func:`certified_path`; the
+lasso route's single fits descend the ladder of :func:`fit_ladder`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ SIGN_SLACK = 0.01
 
 ORACLE_MAX_ITER = 5_000_000
 
-LADDER_RATIO = 2.5  # a single fit's ladder grows by this factor per rung
+LADDER_RATIO = 2.5  # a single lasso fit's ladder grows by this factor per rung
 
 
 class OracleBudgetError(RuntimeError):
@@ -115,9 +115,9 @@ def lambda_max(y) -> float:
 
 
 def fit_ladder(lam: float, lmax: float) -> list[float]:
-    """The grid of a single fit at lam: lam, 2.5 lam, ... (each below lmax),
-    then lmax, so the solve descends from the affine fit. For lam <= 0 or
-    lam >= lmax the ladder is lam alone."""
+    """The grid of a single lasso-route fit at lam: lam, 2.5 lam, ... (each
+    below lmax), then lmax, so the solve descends from the affine fit. For
+    lam <= 0 or lam >= lmax the ladder is lam alone."""
     ladder = [lam]
     if 0 < lam < lmax:
         while ladder[-1] * LADDER_RATIO < lmax:

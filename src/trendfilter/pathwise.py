@@ -4,11 +4,11 @@ Works on nu (nu_1 = mu_1, nu_t = mu_t - mu_{t-1}), where the objective is
 
     f(nu) = 0.5 * ||y - X nu||^2 + lam * sum_{t=3..n} |nu_t - nu_{t-1}|
 
-with X the cumulative-sum design. The solver follows a penalty continuation
-down from lambda_max: start from the affine least-squares fit, exact at and
-above lambda_max (nu = [mu_1, slope, slope, ...]), and descend the lambda
-ladder, warm-starting each level from the one above, so runs open by splits
-as the penalty falls. At each level it repeats two moves, a fused-run
+with X the cumulative-sum design. A path starts from the affine
+least-squares fit, exact at and above lambda_max (nu = [mu_1, slope, slope,
+...]), and descends its grid, warm-starting each level from the one above,
+so runs open by splits as the penalty falls. A single fit is one level, from
+the affine fit. At each level the solver repeats two moves, a fused-run
 active-set method in the manner of Hoefling 2010:
 
 * a split scan that makes one cut in each band of consecutive positions
@@ -26,8 +26,7 @@ a round cuts nothing and moves nothing, or once it returns to a state
 (nu, r) the level has held: rounds are deterministic, so that cycle would
 repeat forever. A round costs O(n) numpy work and scalar work in proportion
 to the runs. The grid loop, the lam = 0 entry and the KKT certificate are
-``kkt.certified_path``'s, and a single fit is the lowest entry of a path on
-``kkt.fit_ladder``.
+``kkt.certified_path``'s.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LambdaPath, TimeSeries, TrendFit
-from .kkt import affine_fit, certified_path, fit_ladder, lambda_max
-from .kkt import check_kkt  # noqa: F401  bench/spans.py patches the name here
+from .kkt import affine_fit, certified_path
+from .kkt import check_kkt, lambda_max  # noqa: F401  bench/spans.py patches these names here
 
 # A structure polish whose step is below this relative size is not taken: such
 # a step is floating-point jitter, and skipping it keeps a converged fit's bits.
@@ -201,12 +200,8 @@ def _solve_at(y, nu, r, lam, sums, sweep_tol, max_rounds):
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
-    """Solve at a single penalty: the lowest entry of :func:`fit_path` on
-    ``kkt.fit_ladder(lam, lambda_max(y))``, so the solve is warm-started down
-    from the affine fit."""
-    opts = opts or PathwiseOptions()
-    yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-    return fit_path(yv, fit_ladder(lam, lambda_max(yv)), opts.sweep_tol).entries[0].fit
+    """Solve at a single penalty: one level of :func:`fit_path`, from the affine fit."""
+    return fit_path(y, [lam], (opts or PathwiseOptions()).sweep_tol).entries[0].fit
 
 
 def fit_path(y, lambda_grid, sweep_tol: float = 1e-10) -> LambdaPath:

@@ -486,6 +486,72 @@ class TestFitPath:
             fit_path(y, [-1.0, 2.0])
 
 
+def _planted_series(rng, n=150, lam=1.6, kinks=(40, 90, 120)):
+    """y = mu* + lam D'g for a piecewise-linear mu* and a dual certificate g
+    (g = the kink's sign at each kink, |g| < 1 elsewhere), so mu* is the
+    minimiser at lam: the form of the planted short series."""
+    t = np.arange(1.0, n + 1)
+    mu = rng.uniform(-10.0, 10.0) + rng.uniform(-0.1, 0.1) * t
+    signs = rng.choice([-1.0, 1.0], size=len(kinks))
+    for tau, s in zip(kinks, signs):
+        mu = mu + s * rng.uniform(0.02, 0.2) * np.maximum(t - tau, 0.0)
+    base = np.interp(np.arange(n - 2), [0, *(k - 2 for k in kinks), n - 3], [0.0, *signs, 0.0])
+    g = np.clip(0.9 * base + 0.08 * rng.uniform(-1.0, 1.0, n - 2), -0.98, 0.98)
+    g[np.array(kinks) - 2] = signs
+    return mu + lam * np.diff(np.concatenate(([0.0, 0.0], g, [0.0, 0.0])), 2)
+
+
+def _single_fit_series(case):
+    if case == "planted":
+        return _planted_series(np.random.default_rng([1, 2, 0]))
+    if case == "step":
+        return np.r_[np.zeros(100), np.ones(100)]
+    if case == "spike":
+        y = np.zeros(201)
+        y[100] = 50.0
+        return y
+    if case == "rounded":
+        y = add_noise(gen_trend(example2(n=400)), NoiseSpec(snr=400.0, seed=(5, 0, 0))).y
+        return np.round(y / 5.0) * 5.0
+    return np.random.default_rng(7).normal(size=300)
+
+
+class TestSingleFit:
+    def test_one_level_and_one_certificate(self, monkeypatch):
+        # a single fit solves at its lambda from the affine fit; it used to
+        # descend kkt.fit_ladder and solve and certify every rung
+        y = _planted_series(np.random.default_rng([1, 2, 0]))
+        calls = {"solve": 0, "kkt": 0}
+        solve_at, check = pathwise._solve_at, kkt.check_kkt
+
+        def counting_solve(*args):
+            calls["solve"] += 1
+            return solve_at(*args)
+
+        def counting_check(*args, **kwargs):
+            calls["kkt"] += 1
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(pathwise, "_solve_at", counting_solve)
+        monkeypatch.setattr(kkt, "check_kkt", counting_check)
+        lam = 1e-2 * lambda_max(y)
+        assert len(kkt.fit_ladder(lam, lambda_max(y))) > 1
+        assert fit(y, lam).converged
+        assert calls == {"solve": 1, "kkt": 1}
+
+    @pytest.mark.parametrize("case", ["planted", "step", "spike", "rounded", "white-noise"])
+    def test_matches_the_ladder_fit(self, case):
+        # the direct solve lands on the fit the continuation ladder reaches
+        y = _single_fit_series(case)
+        lmax = lambda_max(y)
+        for rel in (1e-6, 1e-4, 1e-2):
+            lam = rel * lmax
+            got = fit(y, lam)
+            want = fit_path(y, kkt.fit_ladder(lam, lmax)).entries[0].fit
+            assert np.max(np.abs(got.mu_hat - want.mu_hat)) <= 1e-12 * (1 + np.max(np.abs(y))), rel
+            assert got.converged == want.converged, rel
+
+
 class TestRunValues:
     def test_knot_form_matches_dense_normal_equations(self, rng):
         # the polish's tridiagonal knot-form solve against the run-value normal
