@@ -78,14 +78,22 @@ def _resolve_lambda(args, y: TimeSeries) -> float:
     return 20.0 * spec.min_slope_change() * spec.min_segment_len()
 
 
+def _cause(report) -> str:
+    """Why a fit is flagged unconverged, from its certificate: the solver ran
+    out of rounds on a fit that passes, or the certificate failed, with the
+    three margins ``check`` prints."""
+    if report.passed:
+        return (f"max_inactive_ratio={report.max_inactive_ratio:.6g} passed its KKT "
+                "certificate, but the solver stopped at its round budget")
+    return (f"failed its KKT certificate: max_inactive_ratio={report.max_inactive_ratio:.6g} "
+            f"mismatches={report.active_sign_mismatches} "
+            f"residual={report.stationarity_residual:.6g}")
+
+
 def _unconverged(y: TimeSeries, fit, lam: float) -> int:
     """Name the cause of an unconverged fit on stderr; returns exit code 3."""
-    report = check_kkt(y, fit.mu_hat, lam)
-    if report.passed:
-        print("warning: solver did not converge within its sweep budget", file=sys.stderr)
-    else:
-        print("warning: fit failed its KKT certificate: "
-              f"max_inactive_ratio={report.max_inactive_ratio:.6g}", file=sys.stderr)
+    cause = _cause(check_kkt(y, fit.mu_hat, lam))
+    print(f"warning: fit did not converge: {cause}", file=sys.stderr)
     return EXIT_NONCONVERGED
 
 
@@ -121,8 +129,7 @@ def cmd_path(args) -> int:
     stuck = [(i, e) for i, e in enumerate(path.entries) if not e.fit.converged]
     if stuck:
         print("warning: some path entries did not converge: " + "; ".join(
-            f"entry {i} lambda={e.lam:.6g} max_inactive_ratio={e.kkt.max_inactive_ratio:.6g}"
-            for i, e in stuck), file=sys.stderr)
+            f"entry {i} lambda={e.lam:.6g} {_cause(e.kkt)}" for i, e in stuck), file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 

@@ -25,9 +25,11 @@ solve of the sign-restricted subproblem on the nonzero set (with zero-crossing
 line searches) with an admission step: one ``Z'r`` finds the inactive
 coordinates that violate |z_j'r| <= lam, and only those are re-tested, largest
 violation first, and stepped in, so a round is O(n) plus O(n) per candidate
-(the screen-then-check working set of glmnet and the strong rules). Adjacent Z
-columns are so collinear that plain cyclic descent cannot reach tight
-tolerances on its own at realistic n, so the polish is where production
+(the screen-then-check working set of glmnet and the strong rules). A level
+ends once a round admits nothing, or once its restricted solve returns to a
+beta the level has held, as a pathwise level ends on a repeated state.
+Adjacent Z columns are so collinear that plain cyclic descent cannot reach
+tight tolerances on its own at realistic n, so the polish is where production
 accuracy comes from. mu_hat = Z beta_hat either way. ``fit_path`` emits
 its fits through ``kkt.certified_path``, which certifies each one and flags
 it converged only when the polish converged and the certificate passed.
@@ -41,11 +43,9 @@ from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
 from .design import DesignZ
 from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
 
-# A coordinate caught in an admission cycle re-enters only when |z_j'r| exceeds
-# lam by this relative margin, so a subgradient that sits at its bound to within
-# round-off cannot be admitted and dropped again round after round. It is well
-# inside the certificate's 1e-6 and above the round-off of the restricted solve.
-ADMIT_MARGIN = 1e-7
+MAX_ROUNDS = 200  # a level's cap on polish rounds
+SWEEPS_PER_RUNG = 15  # budget_path's sweeps per rung; fewer once one moves under BUDGET_TOL
+BUDGET_TOL = 1e-6
 
 
 class LassoProblem:
@@ -186,8 +186,8 @@ def _converge_active(Z, beta, act, Zty, lam):
         G = G[np.ix_(keep, keep)]
 
 
-def _admit(prob, beta, r, bound):
-    """Admit every inactive coordinate j >= 3 with |z_j'r| > bound[j]: one
+def _admit(prob, beta, r):
+    """Admit every inactive coordinate j >= 3 with |z_j'r| > lam: one
     ``rmatvec`` finds the candidates in O(n), then each, largest violation
     first, is re-tested on its O(n - j) tail against the residual the earlier
     admissions left, and enters by a soft-threshold step from zero. Violators
@@ -198,52 +198,48 @@ def _admit(prob, beta, r, bound):
     lam, nrm, t, n = prob.lam, prob._norms, prob._t, prob.n
     g = prob.Z.rmatvec(r)
     admitted = []
-    cand = np.flatnonzero((np.abs(g[2:]) > bound[2:]) & (beta[2:] == 0.0)) + 2
+    cand = np.flatnonzero((np.abs(g[2:]) > lam) & (beta[2:] == 0.0)) + 2
     for j in cand[np.argsort(-np.abs(g[cand]), kind="stable")]:
         zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
         rho = float(zj @ r[j:])
-        if abs(rho) > bound[j]:
+        if abs(rho) > lam:
             beta[j] = np.sign(rho) * (abs(rho) - lam) / nrm[j]
             r[j:] -= zj * beta[j]
             admitted.append(j)
     return np.array(admitted, dtype=np.intp)
 
 
-def active_set_polish(prob: LassoProblem, mu: np.ndarray,
-                      max_rounds: int = 200) -> tuple[np.ndarray, bool]:
+def active_set_polish(prob: LassoProblem, mu: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve the sign-restricted subproblem on the nonzero set exactly, then
     admit the KKT violators among the other coordinates; repeat until none is
     admitted. The exact restricted solve replaces inner coordinate cycling,
     which the column collinearity would stall, and leaves the KKT test on the
     inactive coordinates as the only job of an admission round, so a round
-    costs O(n) plus O(n) per candidate. The objective never increases, and an
-    already-optimal fit comes back unchanged. A round that lands on a signed
-    support reached before is therefore a cycle among ties at the bound: the
-    coordinates admitted last need ``ADMIT_MARGIN`` to enter from then on.
-    The fit ends with an exact O(n) least-squares refit of the unpenalised
-    affine pair, which the dense restricted solve leaves off its optimum at
-    large n. Takes a seed mu and returns ``(mu, converged)``, where
-    ``converged`` is this polish's own verdict. At lam = 0 the answer is y."""
+    costs O(n) plus O(n) per candidate. An already-optimal fit comes back
+    unchanged. A round is a function of beta, so a restricted solve that lands
+    on a beta the level has held starts a cycle (subgradients at their bound to
+    within round-off, admitted and dropped again) that would repeat forever:
+    the level ends there, and the certificate judges the fit. The fit ends
+    with an exact O(n) least-squares refit of the unpenalised affine pair,
+    which the dense restricted solve leaves off its optimum at large n. Takes
+    a seed mu and returns ``(mu, converged)``, this polish's own verdict:
+    False only after ``MAX_ROUNDS`` rounds. At lam = 0 the answer is y."""
     lam = prob.lam
     if lam == 0.0:
         return prob.y.copy(), True
     Z = prob.Z
     beta = _sparse_encode(Z, mu)
     Zty = Z.rmatvec(prob.y)
-    tied = np.zeros(prob.n, dtype=bool)
-    seen = set()  # signed supports the restricted solve has landed on
-    admitted = np.empty(0, dtype=np.intp)
+    seen = set()
     converged = False
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         _converge_active(Z, beta, np.flatnonzero(beta[2:]) + 2, Zty, lam)
-        state = np.sign(beta).astype(np.int8).tobytes()
-        if state in seen:  # a cycle: the last admissions were ties at the bound
-            tied[admitted] = True
-        seen.add(state)
-        admitted = _admit(prob, beta, prob.y - Z.matvec(beta), lam * (1.0 + ADMIT_MARGIN * tied))
-        if not admitted.size:
+        # a 64-bit hash of beta's bytes: a false repeat needs a collision
+        state = hash(beta.tobytes())
+        if state in seen or not _admit(prob, beta, prob.y - Z.matvec(beta)).size:
             converged = True
             break
+        seen.add(state)
     mu = Z.matvec(beta)
     mu += affine_fit(prob.y - mu)  # the unpenalised pair, refit exactly in O(n)
     return mu, converged
@@ -256,9 +252,9 @@ def fit(y, lam: float) -> TrendFit:
     return fit_path(yv, fit_ladder(lam, lambda_max(yv))).entries[0].fit
 
 
-def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) -> LambdaPath:
+def budget_path(y, lambda_grid) -> LambdaPath:
     """Fixed-budget practical route: ascend the grid from the exact interpolant
-    encoding, running at most ``sweeps_per_rung`` cyclic sweeps per rung.
+    encoding, running at most ``SWEEPS_PER_RUNG`` cyclic sweeps per rung.
 
     Warm-starting upward from the dense lam = 0 encoding leaves many small
     slope-change coefficients clustered around the true kinks at every rung --
@@ -279,9 +275,8 @@ def budget_path(y, lambda_grid, sweeps_per_rung: int = 15, tol: float = 1e-6) ->
             fit_l = TrendFit.from_mu(yv, yv.copy(), 0.0, solver="lasso-budget")
         else:
             r = yv - prob.Z.matvec(beta)
-            for _ in range(sweeps_per_rung):
-                maxrel = _cd_pass(prob, beta, r)
-                if maxrel <= tol:
+            for _ in range(SWEEPS_PER_RUNG):
+                if _cd_pass(prob, beta, r) <= BUDGET_TOL:
                     break
             ok = bool(np.all(np.isfinite(beta)))
             fit_l = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, converged=ok,

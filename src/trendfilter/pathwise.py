@@ -22,11 +22,11 @@ active-set method in the manner of Hoefling 2010:
   goes against its sign closes at step 0.
 
 The polish is exact, so no round evaluates the objective. A level ends once
-a round cuts nothing and moves nothing, or once it returns to a state
-(nu, r) the level has held: rounds are deterministic, so that cycle would
-repeat forever. A round costs O(n) numpy work and scalar work in proportion
-to the runs. The grid loop, the lam = 0 entry and the KKT certificate are
-``kkt.certified_path``'s.
+a round cuts nothing and moves nothing beyond round-off, or once it returns
+to a nu the level has held: rounds are deterministic, so that cycle would
+repeat forever (the lasso route ends its levels on a repeat too). A round
+costs O(n) numpy work and scalar work in proportion to the runs. The grid
+loop, the lam = 0 entry and the KKT certificate are ``kkt.certified_path``'s.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ import numpy as np
 from .core import LambdaPath, TimeSeries, TrendFit
 from .kkt import affine_fit, certified_path
 from .kkt import check_kkt, lambda_max  # noqa: F401  bench/spans.py patches these names here
-
-# A structure polish whose step is below this relative size is not taken: such
-# a step is floating-point jitter, and skipping it keeps a converged fit's bits.
-DEADBAND = 1e-15
 
 # The split scan cuts where |g| > lam * (1 + SPLIT_SLACK). The margin
 # sets how closely this route agrees with the lasso route: on 39 benchmark
@@ -135,15 +131,18 @@ def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
     """Exact run-value solve for the current fused pattern, with a boundary
     added at every cut, under frozen boundary signs (a cut's own sign, else
     the sign of the boundary's slope step); walks sign collisions until a
-    full step fits. Each step is exact up to its first collision, where every
-    boundary that closes merges at once, so the walk descends; a cut whose
-    step goes against its sign closes at step 0 and is dropped there. The
-    move is taken untested unless below ``DEADBAND``. Returns its relative
-    size. ``sums`` is ``_prefix_sums(y)``, taken once per path; each step of
-    the walk is a few O(G) numpy operations and one tridiagonal solve."""
+    full step fits. Index 1 always starts a run: no cut is made at that
+    unpenalised boundary, so a run fused across it would stay fused. Each
+    step is exact up to its first collision, where every boundary that closes
+    merges at once, so the walk descends; a cut whose step goes against its
+    sign closes at step 0 and is dropped there. The move is taken untested.
+    Returns its relative size. ``sums`` is ``_prefix_sums(y)``, taken once
+    per path; each step of the walk is a few O(G) numpy operations and one
+    tridiagonal solve."""
     n = y.size
     start = np.zeros(n, dtype=bool)
     start[_runs_of(nu)] = True
+    start[1] = True
     start[cuts] = True
     a = np.flatnonzero(start)
     alpha = nu[a]
@@ -171,8 +170,6 @@ def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
         a, alpha, signs = a[keep], alpha[keep], signs[keep[1:]]
     nu_new = np.repeat(alpha, np.concatenate((a[1:], [n])) - a)
     rel = float(np.max(np.abs(nu_new - nu) / (1.0 + np.abs(nu_new))))
-    if rel <= DEADBAND:
-        return 0.0
     nu[:] = nu_new
     r[:] = y - np.cumsum(nu_new)
     return rel
@@ -182,13 +179,13 @@ def _solve_at(y, nu, r, lam, sums, sweep_tol, max_rounds):
     """Rounds of split scan (chooses cuts) and structure polish (splits the
     runs at them, solves every run value, merges runs) at a fixed lambda.
     True once a round's scan chooses no cut and its polish moves nothing
-    beyond ``sweep_tol``, or once a round starts on a state (nu, r) the level
-    has held: a round is a function of that state, so the cycle would repeat
-    forever. False after ``max_rounds`` rounds."""
+    beyond ``sweep_tol``, or once a round starts on a nu the level has held:
+    a round is a function of nu (r is always y - cumsum(nu)), so the cycle
+    would repeat forever. False after ``max_rounds`` rounds."""
     seen = set()
     for _ in range(max_rounds):
-        # a 64-bit hash of the state's bytes: a false repeat needs a collision
-        state = hash((nu.tobytes(), r.tobytes()))
+        # a 64-bit hash of nu's bytes: a false repeat needs a collision
+        state = hash(nu.tobytes())
         if state in seen:
             return True
         seen.add(state)

@@ -75,11 +75,10 @@ def select(path: LambdaPath, y, criterion: str = "mc",
     return best.lam, best.fit, scores
 
 
-def default_grid(lam_max: float, size: int = 60, min_rel: float = 1e-4,
-                 include_zero: bool = True) -> list[float]:
-    """log-spaced grid from lam_max * min_rel to lam_max, optionally led by 0."""
+def default_grid(lam_max: float, size: int = 60, min_rel: float = 1e-4) -> list[float]:
+    """0, then a log-spaced grid from lam_max * min_rel to lam_max."""
     if lam_max <= 0:
-        return [0.0] if include_zero else []
+        return [0.0]
     if size < 1:
         raise ValueError("size must be >= 1")
     if size == 1:
@@ -87,4 +86,4 @@ def default_grid(lam_max: float, size: int = 60, min_rel: float = 1e-4,
     else:
         ratio = (1.0 / min_rel) ** (1.0 / (size - 1))
         grid = [lam_max * min_rel * ratio ** i for i in range(size - 1)] + [lam_max]
-    return ([0.0] + grid) if include_zero else grid
+    return [0.0] + grid

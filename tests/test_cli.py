@@ -135,10 +135,13 @@ class TestFit:
                      "--output", str(tmp_path / "fit.csv")]) == 3
         err = capsys.readouterr().err
         if certified:
-            assert "did not converge within its sweep budget" in err
+            assert "passed its KKT certificate, but the solver stopped at its round budget" in err
         else:
-            ratio = check_kkt(y, affine_fit(y), lam).max_inactive_ratio
+            report = check_kkt(y, affine_fit(y), lam)
+            ratio = report.max_inactive_ratio
             assert f"failed its KKT certificate: max_inactive_ratio={ratio:.6g}" in err
+            assert (f"mismatches={report.active_sign_mismatches} "
+                    f"residual={report.stationarity_residual:.6g}") in err
 
     def test_header_after_metadata_lines(self, tmp_path, noisy_line):
         # the form the tool writes: '#' metadata lines, then a header row
@@ -245,7 +248,7 @@ class TestPathAndSelect:
                      "--output", str(tmp_path / "sel.csv")]) == 3
         err = capsys.readouterr().err
         if certified:
-            assert "did not converge within its sweep budget" in err
+            assert "passed its KKT certificate, but the solver stopped at its round budget" in err
         else:
             assert "failed its KKT certificate: max_inactive_ratio=1.25" in err
 
@@ -272,6 +275,8 @@ class TestPathAndSelect:
         assert (f"entry 3 lambda={e.lam:.6g} "
                 f"max_inactive_ratio={e.kkt.max_inactive_ratio:.6g}") in err
         assert err.count("entry ") == 1
+        # the entry passed its certificate, so the message blames the round budget
+        assert e.kkt.passed and "certificate, but the solver stopped at its round budget" in err
 
 
 class TestSimulate:

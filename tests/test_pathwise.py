@@ -80,11 +80,12 @@ def _reference_split_scan(y, nu, r, lam):
 
 def _reference_polish(y, nu, r, lam, cuts, cut_signs):
     """The structure polish with its runs, boundary signs and collision scan
-    in Python loops: the cuts open boundaries with their own signs, and every
-    boundary that closes at the first collision step merges in that step."""
+    in Python loops: index 1 and the cuts start runs, the cuts with their own
+    signs, and every boundary that closes at the first collision step merges
+    in that step."""
     n = y.size
     frozen = dict(zip(np.asarray(cuts).tolist(), np.asarray(cut_signs).tolist()))
-    a = np.array(sorted(set(_loop_runs(nu)) | set(frozen)))
+    a = np.array(sorted(set(_loop_runs(nu)) | {1} | set(frozen)))
     alpha = nu[a]
     signs = [0.0 if a[g] < 2 else frozen.get(int(a[g]), np.sign(alpha[g] - alpha[g - 1]))
              for g in range(1, a.size)]
@@ -117,8 +118,6 @@ def _reference_polish(y, nu, r, lam, cuts, cut_signs):
         signs = [sg for g, sg in enumerate(signs, start=1) if g not in closing]
     nu_new = np.repeat(alpha, np.diff(a, append=n))
     rel = float(np.max(np.abs(nu_new - nu) / (1.0 + np.abs(nu_new))))
-    if rel <= pathwise.DEADBAND:
-        return 0.0
     nu[:] = nu_new
     r[:] = y - np.cumsum(nu_new)
     return rel
@@ -584,6 +583,21 @@ class TestSolverAgreement:
             mu_p = fit(y, lam).mu_hat
             mu_l = lasso.fit(y, lam).mu_hat
             assert np.max(np.abs(mu_p - mu_l)) <= 1e-5 * (1 + np.max(np.abs(y)))
+
+    def test_level_and_first_slope_stay_apart(self):
+        # the affine fit of this y is t itself, so the start has nu[0] == nu[1];
+        # a polish that fused the unpenalised boundary at index 1 into one run
+        # solved under a false constraint: at 0.05 of lambda_max the fit
+        # failed its certificate with a ratio of 189
+        from trendfilter import lasso
+        y = np.arange(1.0, 21.0)
+        y[:3] += [1.0, -2.0, 1.0]
+        lmax = lambda_max(y)
+        for frac in (0.5, 0.05, 1e-3):
+            got = fit(y, frac * lmax)
+            assert got.converged, frac
+            want = lasso.fit(y, frac * lmax).mu_hat
+            assert np.max(np.abs(got.mu_hat - want)) <= 1e-9 * (1 + np.max(np.abs(y))), frac
 
     def test_paths_agree_on_a_low_noise_series(self):
         # with a split margin of 1e-7 this path strays from the lasso route by
