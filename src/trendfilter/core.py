@@ -124,9 +124,9 @@ def extract_kinks(fit_or_mu, tol_kink: float = KINK_TOL) -> KinkSet:
     b = second_diff(mu)
     scale = max(1.0, float(np.max(np.abs(mu))))
     hits = np.flatnonzero(np.abs(b) > tol_kink * scale)
-    indices = tuple(int(k) + 2 for k in hits)  # second-diff entry k sits at time k+3; change is at k+2
-    signs = {int(k) + 2: int(np.sign(b[k])) for k in hits}
-    return KinkSet(indices=indices, signs=signs)
+    indices = (hits + 2).tolist()  # second-diff entry k sits at time k+3; change is at k+2
+    signs = dict(zip(indices, np.sign(b[hits]).astype(int).tolist()))
+    return KinkSet(indices=tuple(indices), signs=signs)
 
 
 def validate_grid(lambda_grid) -> list[float]:

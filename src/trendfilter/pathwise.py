@@ -22,8 +22,9 @@ active-set method in the manner of Hoefling 2010:
   goes against its sign closes at step 0.
 
 The polish is exact, so no round evaluates the objective. A level ends once
-a round cuts nothing and moves nothing beyond round-off, or once it returns
-to a nu the level has held: rounds are deterministic, so that cycle would
+a scan after a finished polish at its lambda cuts nothing, as the state is
+then exact and no subgradient breaks its bound, or once a round returns to
+a nu the level has held: rounds are deterministic, so that cycle would
 repeat forever (the lasso route ends its levels on a repeat too). A round
 costs O(n) numpy work and scalar work in proportion to the runs. The grid
 loop, the lam = 0 entry and the KKT certificate are ``kkt.certified_path``'s.
@@ -51,6 +52,7 @@ ROUNDS_PER_POINT = 10  # a level's round cap is this times n
 
 @dataclass
 class PathwiseOptions:
+    """Accepted by :func:`fit` and read by nothing: ``sweep_tol`` changes no fit."""
     sweep_tol: float = 1e-10
 
 
@@ -136,9 +138,9 @@ def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
     step is exact up to its first collision, where every boundary that closes
     merges at once, so the walk descends; a cut whose step goes against its
     sign closes at step 0 and is dropped there. The move is taken untested.
-    Returns its relative size. ``sums`` is ``_prefix_sums(y)``, taken once
-    per path; each step of the walk is a few O(G) numpy operations and one
-    tridiagonal solve."""
+    Returns whether the walk ended on a full step, the exact solve of its
+    pattern. ``sums`` is ``_prefix_sums(y)``, taken once per path; each step
+    of the walk is a few O(G) numpy operations and one tridiagonal solve."""
     n = y.size
     start = np.zeros(n, dtype=bool)
     start[_runs_of(nu)] = True
@@ -160,29 +162,27 @@ def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
         ddiff = d[1:] - d[:-1]
         hit = np.flatnonzero((ddiff != 0.0) & (signs * (diff0 + ddiff) < 0))
         tc = np.maximum(-diff0[hit] / ddiff[hit], 0.0)
-        if not np.any(tc < 1.0):
-            alpha = alpha + d
-            break
-        theta = tc.min()
+        theta = tc.min(initial=1.0)  # 1 is the full step
         alpha = alpha + theta * d
+        if theta == 1.0:
+            break
         keep = np.ones(a.size, dtype=bool)
         keep[hit[tc == theta] + 1] = False
         a, alpha, signs = a[keep], alpha[keep], signs[keep[1:]]
-    nu_new = np.repeat(alpha, np.concatenate((a[1:], [n])) - a)
-    rel = float(np.max(np.abs(nu_new - nu) / (1.0 + np.abs(nu_new))))
-    nu[:] = nu_new
-    r[:] = y - np.cumsum(nu_new)
-    return rel
+    nu[:] = np.repeat(alpha, np.concatenate((a[1:], [n])) - a)
+    r[:] = y - np.cumsum(nu)
+    return bool(theta == 1.0)
 
 
-def _solve_at(y, nu, r, lam, sums, sweep_tol, max_rounds):
+def _solve_at(y, nu, r, lam, sums, max_rounds):
     """Rounds of split scan (chooses cuts) and structure polish (splits the
     runs at them, solves every run value, merges runs) at a fixed lambda.
-    True once a round's scan chooses no cut and its polish moves nothing
-    beyond ``sweep_tol``, or once a round starts on a nu the level has held:
-    a round is a function of nu (r is always y - cumsum(nu)), so the cycle
-    would repeat forever. False after ``max_rounds`` rounds."""
+    True once a scan that follows a finished polish at this lambda chooses no
+    cut, or once a round starts on a nu the level has held: a round is a
+    function of nu (r is always y - cumsum(nu)), so the cycle would repeat
+    forever. False after ``max_rounds`` rounds."""
     seen = set()
+    finished = False
     for _ in range(max_rounds):
         # a 64-bit hash of nu's bytes: a false repeat needs a collision
         state = hash(nu.tobytes())
@@ -190,18 +190,18 @@ def _solve_at(y, nu, r, lam, sums, sweep_tol, max_rounds):
             return True
         seen.add(state)
         cuts, cut_signs = _split_scan(y, nu, r, lam)
-        moved = _structure_polish(y, nu, r, lam, sums, cuts, cut_signs)
-        if moved <= sweep_tol and cuts.size == 0:
+        if finished and cuts.size == 0:
             return True
+        finished = _structure_polish(y, nu, r, lam, sums, cuts, cut_signs)
     return False
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
     """Solve at a single penalty: one level of :func:`fit_path`, from the affine fit."""
-    return fit_path(y, [lam], (opts or PathwiseOptions()).sweep_tol).entries[0].fit
+    return fit_path(y, [lam]).entries[0].fit
 
 
-def fit_path(y, lambda_grid, sweep_tol: float = 1e-10) -> LambdaPath:
+def fit_path(y, lambda_grid) -> LambdaPath:
     """Fit every lambda on a strictly increasing grid through
     ``kkt.certified_path``, starting from the affine least-squares fit (exact
     at and above lambda_max) and warm-starting each level from the next larger
@@ -216,7 +216,7 @@ def fit_path(y, lambda_grid, sweep_tol: float = 1e-10) -> LambdaPath:
     sums = _prefix_sums(yv)
 
     def solve(lam):
-        ok = _solve_at(yv, nu, r, lam, sums, sweep_tol, ROUNDS_PER_POINT * yv.size)
+        ok = _solve_at(yv, nu, r, lam, sums, ROUNDS_PER_POINT * yv.size)
         return np.cumsum(nu), ok
 
     return certified_path(yv, lambda_grid, solve, "pathwise")

@@ -99,6 +99,33 @@ class TestExtractKinks:
         assert ks.indices == (151, 351)
         assert ks.sign_vector() == [1, 1]
 
+    @pytest.mark.parametrize("case", ["random", "affine", "every-point"])
+    def test_matches_per_kink_loop(self, rng, case):
+        # the sign dict is built in one pass; a loop over the second
+        # differences, one np.sign call per kink, is the reference
+        def reference(mu, tol_kink):
+            b, scale = second_diff(mu), max(1.0, float(np.max(np.abs(mu))))
+            hits = [k for k in range(b.size) if abs(b[k]) > tol_kink * scale]
+            return tuple(k + 2 for k in hits), {k + 2: int(np.sign(b[k])) for k in hits}
+
+        for trial in range(50):
+            n = int(rng.integers(3, 60))
+            t = np.arange(1.0, n + 1)
+            if case == "random":
+                mu = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            elif case == "affine":
+                mu = rng.normal() + rng.normal() * t
+            else:
+                mu = (-1.0) ** t * rng.uniform(1.0, 2.0, n)  # |second diff| >= 4, |mu| <= 2
+            tol_kink = float(rng.choice([1e-8, 1e-3, 0.1]))
+            ks = extract_kinks(mu, tol_kink)
+            assert (ks.indices, ks.signs) == reference(mu, tol_kink), trial
+            assert all(type(s) is int for s in ks.signs.values()), trial
+            if case == "affine":
+                assert len(ks) == 0, trial
+            elif case == "every-point":
+                assert ks.indices == tuple(range(2, n)), trial
+
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_affine_shift_invariance(self, c, d):
         # second differences are affine-invariant; kink magnitudes here dwarf
