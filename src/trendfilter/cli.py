@@ -65,12 +65,12 @@ def _resolve_lambda(args, y: TimeSeries) -> float:
     if sum(given) != 1:
         raise CliError("pass exactly one of --lambda, --lambda-rel, --lambda-paper-fig2")
     if args.lam is not None:
-        if args.lam < 0:
-            raise CliError("--lambda must be >= 0")
+        if not 0 <= args.lam < math.inf:
+            raise CliError("--lambda must be finite and >= 0")
         return float(args.lam)
     if args.lambda_rel is not None:
-        if args.lambda_rel < 0:
-            raise CliError("--lambda-rel must be >= 0")
+        if not 0 <= args.lambda_rel < math.inf:
+            raise CliError("--lambda-rel must be finite and >= 0")
         return float(args.lambda_rel) * lambda_max(y)
     if not args.preset:
         raise CliError("--lambda-paper-fig2 needs --preset to supply the ground truth")
@@ -256,8 +256,8 @@ def cmd_check(args) -> int:
     mu = _read_fit_mu(args.fit)
     if mu.size != y.n:
         raise CliError(f"fit length {mu.size} does not match series length {y.n}")
-    if args.lam is None or args.lam <= 0:
-        raise CliError("--lambda must be > 0 for certification")
+    if not 0 < args.lam < math.inf:
+        raise CliError("--lambda must be finite and > 0 for certification")
     report = check_kkt(y, mu, args.lam, tol=args.tol, tol_kink=args.tol_kink)
     out = _outpath(args, "kkt.csv")
     io.write_kkt_csv(out, report, args.lam, args_echo=_args_echo(args))

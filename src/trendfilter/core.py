@@ -130,10 +130,12 @@ def extract_kinks(fit_or_mu, tol_kink: float = KINK_TOL) -> KinkSet:
 
 
 def validate_grid(lambda_grid) -> list[float]:
-    """The grid as floats, checked to be non-empty, strictly increasing and >= 0."""
+    """The grid as floats, checked to be non-empty, finite, strictly increasing and >= 0."""
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("empty lambda grid")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("lambda values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
     if grid[0] < 0:

@@ -12,10 +12,12 @@ cumulative sums, and the active-set solve takes its Gram block in closed form.
 
 ``cd_fit`` is plain cyclic coordinate descent: the unpenalized pair (1, 2) by
 an exact least-squares step, each penalized coordinate by soft-thresholding at
-lam / ||z_j||^2. A sweep is O(n): one ``Z'r``, one scalar loop that updates
-each coordinate's inner product in closed form from the moves made before it
-in the sweep, and one ``Z d`` that applies all the moves (the pathwise
-coordinate descent of Friedman, Hastie, Hoefling & Tibshirani 2007).
+lam / ||z_j||^2. A sweep is O(n): one ``Z'r``, one scalar loop that carries
+only the closed-form update of each coordinate's inner product from the moves
+before it, then, in numpy, the moves d = beta_new - beta_old, their largest
+relative size and one ``Z d`` that applies them all (the pathwise coordinate
+descent of Friedman, Hastie, Hoefling & Tibshirani 2007). A path builds one
+``LassoProblem`` and sets its ``lam`` per level.
 ``budget_path`` runs a fixed budget of these sweeps for the smearing they
 leave; ``cd_fit`` runs them to a tolerance, as the reference the polish is
 tested against.
@@ -49,22 +51,25 @@ BUDGET_TOL = 1e-6
 
 
 class LassoProblem:
-    """Problem description with the O(n) pieces every sweep reuses: the column
-    norms, the Gram block of the unpenalized pair, the ramp 0, 1, ..., n-1, and
-    the ramp sums S1(n - j) that couple column j to the columns before it."""
+    """One per path, with ``lam`` set per level, and the lambda-free O(n) pieces
+    every level rereads: Z'y, the column norms, the Gram block of the
+    unpenalized pair, the ramp 0, 1, ..., n-1, and the lists over j >= 2 that
+    the sweep loop zips over, S2(n - j) = ||z_j||^2 and the ramp sums S1(n - j)."""
 
     def __init__(self, y, lam: float):
         yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not np.isfinite(lam) or lam < 0:
+            raise ValueError("lam must be finite and >= 0")
         self.y = yv
         self.lam = float(lam)
         self.Z = DesignZ(yv.size)
+        self.Zty = self.Z.rmatvec(yv)
         self._norms = self.Z.column_norms_sq()
         self._G2 = self.Z.gram([0, 1])
         self._t = np.arange(yv.size, dtype=float)
-        L = yv.size - self._t  # n - j: the length of column j's ramp
-        self._s1 = L * (L + 1) / 2.0
+        L = yv.size - self._t[2:]  # n - j: the length of column j's ramp
+        self._s2 = self._norms[2:].tolist()
+        self._s1 = (L * (L + 1) / 2.0).tolist()
 
     @property
     def n(self) -> int:
@@ -100,15 +105,16 @@ def _cd_pass(prob, beta, r):
         z_j'r = g_j - S2(L) D0 - S1(L) (j D0 - D1),  D0 = sum d_i, D1 = sum i d_i,
 
     where S1 and S2 are the sums of 1..L and of their squares (S2(L) is
-    ||z_j||^2). One matvec then applies every move to r. Returns the max
+    ||z_j||^2). The scalar loop carries only this recurrence; after it, the
+    moves d = beta_new - beta_old and their largest relative size are taken
+    in numpy, and one matvec applies every move to r. Returns the max
     relative change."""
     lam, n = prob.lam, prob.n
     maxrel = _block_ls_step(prob, beta, r)
     g = prob.Z.rmatvec(r).tolist()
     b = beta.tolist()
-    d = [0.0] * n
     D0 = D1 = 0.0
-    for j, s2, s1 in zip(range(2, n), prob._norms[2:].tolist(), prob._s1[2:].tolist()):
+    for j, s2, s1 in zip(range(2, n), prob._s2, prob._s1):
         bj = b[j]
         rho = g[j] - s2 * D0 - s1 * (j * D0 - D1) + s2 * bj
         if rho > lam:
@@ -120,15 +126,13 @@ def _cd_pass(prob, beta, r):
         dj = bnew - bj
         if dj != 0.0:
             b[j] = bnew
-            d[j] = dj
             D0 += dj
             D1 += dj * j
-            rel = abs(dj) / (1.0 + abs(bnew))
-            if rel > maxrel:
-                maxrel = rel
-    beta[2:] = b[2:]
-    r -= prob.Z.matvec(np.array(d))
-    return maxrel
+    new = np.array(b)
+    d = new - beta  # zero on the affine pair, whose move the block step has made
+    beta[:] = new
+    r -= prob.Z.matvec(d)
+    return float(np.max(np.abs(d) / (1.0 + np.abs(new)), initial=maxrel))
 
 
 def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
@@ -229,11 +233,10 @@ def active_set_polish(prob: LassoProblem, mu: np.ndarray) -> tuple[np.ndarray, b
         return prob.y.copy(), True
     Z = prob.Z
     beta = _sparse_encode(Z, mu)
-    Zty = Z.rmatvec(prob.y)
     seen = set()
     converged = False
     for _ in range(MAX_ROUNDS):
-        _converge_active(Z, beta, np.flatnonzero(beta[2:]) + 2, Zty, lam)
+        _converge_active(Z, beta, np.flatnonzero(beta[2:]) + 2, prob.Zty, lam)
         # a 64-bit hash of beta's bytes: a false repeat needs a collision
         state = hash(beta.tobytes())
         if state in seen or not _admit(prob, beta, prob.y - Z.matvec(beta)).size:
@@ -266,11 +269,12 @@ def budget_path(y, lambda_grid) -> LambdaPath:
     """
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
     grid = validate_grid(lambda_grid)
-    beta = DesignZ(yv.size).encode(yv)
+    prob = LassoProblem(yv, 0.0)
+    beta = prob.Z.encode(yv)
     entries = []
     warm = False
     for lam in grid:
-        prob = LassoProblem(yv, lam)
+        prob.lam = lam
         if lam == 0.0:  # the interpolant: residual exactly 0, so selection excludes it
             fit_l = TrendFit.from_mu(yv, yv.copy(), 0.0, solver="lasso-budget")
         else:
@@ -293,11 +297,12 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     the descent starts from beta = 0. The minimizer at each lambda is unique,
     so the order is a speed detail only."""
     yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+    prob = LassoProblem(yv, 0.0)
     beta = np.zeros(yv.size)
 
     def solve(lam):
         nonlocal beta
-        prob = LassoProblem(yv, lam)
+        prob.lam = lam
         mu, ok = active_set_polish(prob, prob.Z.matvec(beta))
         beta = _sparse_encode(prob.Z, mu)
         return mu, ok

@@ -368,6 +368,32 @@ class TestCheck:
                      "--lambda", repr(3.0 * lam), "--output", str(tmp_path / "kkt.csv")]) == 4
 
 
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--lambda", "nan"], id="fit-lambda-nan"),
+        pytest.param(["fit", "--lambda", "inf"], id="fit-lambda-inf"),
+        pytest.param(["fit", "--lambda-rel", "nan"], id="fit-lambda-rel-nan"),
+        pytest.param(["fit", "--lambda-rel", "inf"], id="fit-lambda-rel-inf"),
+        pytest.param(["fit", "--solver", "lasso", "--lambda", "nan"], id="fit-lasso-lambda-nan"),
+        pytest.param(["path", "--grid-min-rel", "nan"], id="path-grid-min-rel-nan"),
+        pytest.param(["select", "--grid-min-rel", "nan"], id="select-grid-min-rel-nan"),
+        pytest.param(["check", "--lambda", "nan"], id="check-lambda-nan"),
+        pytest.param(["check", "--lambda", "inf"], id="check-lambda-inf"),
+    ])
+    def test_rejected_before_output(self, tmp_path, noisy_line, argv, capsys):
+        p, y = noisy_line
+        if argv[0] == "check":
+            fit_out = tmp_path / "fit.csv"
+            main(["fit", "--input", str(p), "--lambda", repr(0.2 * lambda_max(y)),
+                  "--output", str(fit_out)])
+            argv = argv + ["--fit", str(fit_out)]
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert main(argv + ["--input", str(p), "--output", str(outdir / "out.csv")]) == 2
+        assert list(outdir.iterdir()) == []
+        assert "finite" in capsys.readouterr().err
+
+
 class TestIrrep:
     def test_reference_example_output(self, capsys):
         assert main(["irrep", "--paper-example"]) == 0

@@ -9,6 +9,7 @@ from trendfilter.core import (
     TrendFit,
     extract_kinks,
     objective_value,
+    validate_grid,
 )
 from trendfilter.design import InvalidDimensionError, second_diff
 from trendfilter.simulate import example1, gen_trend
@@ -136,3 +137,13 @@ class TestExtractKinks:
         shifted = extract_kinks(mu + c + d * t, tol_kink=1e-6)
         assert shifted.indices == base.indices
         assert shifted.sign_vector() == base.sign_vector()
+
+
+class TestValidateGrid:
+    @pytest.mark.parametrize("grid", [[float("nan")], [0.0, float("inf")], [0.0, 1.0, float("nan")]])
+    def test_non_finite_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            validate_grid(grid)
+
+    def test_valid_grid_as_floats(self):
+        assert validate_grid([0, 1, 2.5]) == [0.0, 1.0, 2.5]

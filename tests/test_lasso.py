@@ -35,8 +35,56 @@ def _reference_pass(prob, beta, r):
     return maxrel
 
 
+def _listed_pass(prob, beta, r):
+    """The O(n) sweep with its moves kept inside the loop: each coordinate's
+    move goes into a list d, its relative size is tracked as it is made, and
+    r is updated from ``np.array(d)``. The sweep under test must match it bit
+    for bit."""
+    lam, n = prob.lam, prob.n
+    maxrel = _block_ls_step(prob, beta, r)
+    g = prob.Z.rmatvec(r).tolist()
+    b = beta.tolist()
+    d = [0.0] * n
+    D0 = D1 = 0.0
+    L = n - prob._t
+    s1s = L * (L + 1) / 2.0
+    for j, s2, s1 in zip(range(2, n), prob._norms[2:].tolist(), s1s[2:].tolist()):
+        bj = b[j]
+        rho = g[j] - s2 * D0 - s1 * (j * D0 - D1) + s2 * bj
+        if rho > lam:
+            bnew = (rho - lam) / s2
+        elif rho < -lam:
+            bnew = (rho + lam) / s2
+        else:
+            bnew = 0.0
+        dj = bnew - bj
+        if dj != 0.0:
+            b[j] = bnew
+            d[j] = dj
+            D0 += dj
+            D1 += dj * j
+            rel = abs(dj) / (1.0 + abs(bnew))
+            if rel > maxrel:
+                maxrel = rel
+    beta[2:] = b[2:]
+    r -= prob.Z.matvec(np.array(d))
+    return maxrel
+
+
 # the level-offset and added-line series of the robustness probes
 _BASE = _noisy("example2", 400, 400.0, (5, 0, 0))
+
+_SWEEP_SERIES = [
+    pytest.param(random_walk(np.random.default_rng(7), 300), id="random-walk"),
+    pytest.param(_BASE + 1e6, id="offset"),
+    pytest.param(_BASE + 1e4 * np.arange(_BASE.size), id="added-line"),
+    pytest.param(_noisy("example2", 2000, 400.0, (1, 0, 0)), id="n2000"),
+]
+
+
+def _sweep_start(prob, y, start):
+    beta = prob.Z.encode(y) if start == "interpolant" else np.zeros(y.size)
+    return beta, y - prob.Z.matvec(beta)
 
 
 class TestCdFit:
@@ -71,19 +119,13 @@ class TestCdFit:
 
 
 class TestCdPass:
-    @pytest.mark.parametrize("y", [
-        pytest.param(random_walk(np.random.default_rng(7), 300), id="random-walk"),
-        pytest.param(_BASE + 1e6, id="offset"),
-        pytest.param(_BASE + 1e4 * np.arange(_BASE.size), id="added-line"),
-        pytest.param(_noisy("example2", 2000, 400.0, (1, 0, 0)), id="n2000"),
-    ])
+    @pytest.mark.parametrize("y", _SWEEP_SERIES)
     @pytest.mark.parametrize("start", ["interpolant", "zero"])
     def test_matches_the_quadratic_sweep(self, y, start):
         # the closed-form inner products reproduce the tail-by-tail sweep
         prob = LassoProblem(y, lambda_max(y) / 100)
-        beta = prob.Z.encode(y) if start == "interpolant" else np.zeros(y.size)
+        beta, r_ref = _sweep_start(prob, y, start)
         b_ref, b_new = beta.copy(), beta.copy()
-        r_ref = y - prob.Z.matvec(beta)
         r_new = r_ref.copy()
         tol = 1e-12 * (1 + np.max(np.abs(y)))
         for sweep in range(5):
@@ -93,6 +135,32 @@ class TestCdPass:
                 assert np.max(np.abs(b_new - b_ref)) <= tol
                 assert np.max(np.abs(r_new - r_ref)) <= tol
                 assert abs(m_new - m_ref) <= tol
+
+    @pytest.mark.parametrize("y", _SWEEP_SERIES)
+    @pytest.mark.parametrize("start", ["interpolant", "zero"])
+    def test_bitwise_equal_to_the_listed_sweep(self, y, start):
+        prob = LassoProblem(y, lambda_max(y) / 100)
+        beta, r_ref = _sweep_start(prob, y, start)
+        b_ref, b_new = beta.copy(), beta.copy()
+        r_new = r_ref.copy()
+        for _ in range(5):
+            m_ref = _listed_pass(prob, b_ref, r_ref)
+            m_new = _cd_pass(prob, b_new, r_new)
+            assert b_new.tobytes() == b_ref.tobytes()
+            assert r_new.tobytes() == r_ref.tobytes()
+            assert np.float64(m_new).tobytes() == np.float64(m_ref).tobytes()
+
+    @pytest.mark.parametrize("y", [
+        pytest.param(_noisy("example2", 500, 400.0, (1, 0, 0)), id="example2"),
+        pytest.param(_BASE + 1e6, id="offset"),
+    ])
+    def test_budget_path_bitwise_equal_with_the_listed_sweep(self, monkeypatch, y):
+        grid = default_grid(lambda_max(y))
+        fast = budget_path(y, grid).entries
+        monkeypatch.setattr(lasso, "_cd_pass", _listed_pass)
+        slow = budget_path(y, grid).entries
+        assert [e.fit.mu_hat.tobytes() for e in fast] == [e.fit.mu_hat.tobytes() for e in slow]
+        assert [(e.fit.converged, e.kkt) for e in fast] == [(e.fit.converged, e.kkt) for e in slow]
 
     def test_budget_path_kinks_match_the_quadratic_sweep(self, monkeypatch):
         y = _noisy("example2", 500, 400.0, (1, 0, 0))
@@ -270,3 +338,24 @@ class TestLassoPath:
         y = random_walk(rng, 10)
         with pytest.raises(ValueError):
             fit_path(y, [3.0, 2.0])
+
+
+class TestLassoProblem:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_bad_lambda_rejected(self, rng, lam):
+        with pytest.raises(ValueError):
+            LassoProblem(random_walk(rng, 10), lam)
+
+    @pytest.mark.parametrize("route", ["budget_path", "fit_path"])
+    def test_one_problem_per_path(self, monkeypatch, route):
+        # a path builds its problem once and sets lam per level
+        y = _noisy("example2", 300, 400.0, 3)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return LassoProblem(*args)
+
+        monkeypatch.setattr(lasso, "LassoProblem", counting)
+        path = getattr(lasso, route)(y, default_grid(lambda_max(y)))
+        assert len(path) == 61 and len(built) == 1
