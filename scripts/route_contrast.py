@@ -38,12 +38,13 @@ def main():
     _, fit_l, _ = select(lasso.budget_path(y, grid), y, "mc")
 
     nu0 = np.concatenate([[mu0[0]], np.diff(mu0)])
+    nu_p, nu_l = fit_p.nu_hat, fit_l.nu_hat  # each read derives the view anew
     with open(args.output, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "y", "slope_true", "slope_pathwise", "slope_lasso_budget"])
         for t in range(args.n):
             w.writerow([t + 1, f"{y.y[t]:.10g}", f"{nu0[t]:.10g}",
-                        f"{fit_p.nu_hat[t]:.10g}", f"{fit_l.nu_hat[t]:.10g}"])
+                        f"{nu_p[t]:.10g}", f"{nu_l[t]:.10g}"])
     print(f"true kinks {spec.kink_times()} -> {args.output}")
 
 

@@ -59,6 +59,14 @@ def _args_echo(args) -> str:
     return " ".join(pairs)
 
 
+def _check_tolerances(args) -> None:
+    """--tol-kink and --tol, where the subcommand has them, are finite and >= 0."""
+    for name in ("tol_kink", "tol"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < math.inf:
+            raise CliError(f"--{name.replace('_', '-')} must be finite and >= 0")
+
+
 def _resolve_lambda(args, y: TimeSeries) -> float:
     given = [args.lam is not None, args.lambda_rel is not None,
              getattr(args, "lambda_paper_fig2", False)]
@@ -373,17 +381,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except io.SeriesParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
+    except (FileNotFoundError, ValueError) as e:  # io.SeriesParseError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -38,9 +38,14 @@ class TimeSeries:
         return self.y.size
 
 
+def as_array(y) -> np.ndarray:
+    """The observations of a TimeSeries, or y itself as a float array."""
+    return y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+
+
 def objective_value(y, mu, lam: float) -> float:
     """0.5 * sum (y_t - mu_t)^2 + lam * sum_{t=3..n} |mu_t - 2 mu_{t-1} + mu_{t-2}|."""
-    yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+    yv = as_array(y)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != yv.shape:
         raise InvalidDimensionError(f"length mismatch: y {yv.shape} vs mu {mu.shape}")
@@ -52,17 +57,16 @@ def objective_value(y, mu, lam: float) -> float:
 
 @dataclass(frozen=True)
 class TrendFit:
-    """A fitted mean vector at one penalty level, with derived slope views.
+    """A fitted mean vector at one penalty level.
 
-    ``nu_hat`` holds (mu_1, first differences); ``beta_tail`` the second
-    differences, i.e. the slope changes, indexed so that entry k (0-based)
-    sits at time k+2 (1-based).
+    ``mu_hat`` is the one stored vector; the slope views are derived from it
+    on every read. ``nu_hat`` is (mu_1, first differences); ``beta_tail`` the
+    second differences, i.e. the slope changes, indexed so that entry k
+    (0-based) sits at time k+2 (1-based).
     """
 
     lam: float
     mu_hat: np.ndarray
-    nu_hat: np.ndarray
-    beta_tail: np.ndarray
     objective: float
     converged: bool = True
     solver: str = ""
@@ -70,20 +74,16 @@ class TrendFit:
     @classmethod
     def from_mu(cls, y, mu: np.ndarray, lam: float, converged: bool = True,
                 solver: str = "") -> "TrendFit":
-        yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
         mu = np.asarray(mu, dtype=float)
-        nu = np.empty_like(mu)
-        nu[0] = mu[0]
-        nu[1:] = np.diff(mu)
-        return cls(
-            lam=float(lam),
-            mu_hat=mu,
-            nu_hat=nu,
-            beta_tail=second_diff(mu),
-            objective=objective_value(yv, mu, lam),
-            converged=converged,
-            solver=solver,
-        )
+        return cls(float(lam), mu, objective_value(y, mu, lam), converged, solver)
+
+    @property
+    def nu_hat(self) -> np.ndarray:
+        return np.diff(self.mu_hat, prepend=0.0)
+
+    @property
+    def beta_tail(self) -> np.ndarray:
+        return second_diff(self.mu_hat)
 
     @property
     def n(self) -> int:
@@ -114,16 +114,22 @@ class KinkSet:
         return [self.signs[i] for i in self.indices]
 
 
+def kink_mask(mu: np.ndarray, tol_kink: float) -> tuple[np.ndarray, np.ndarray]:
+    """The second differences of mu and the mask of those that are kinks:
+    |mu_{i+1} - 2 mu_i + mu_{i-1}| > tol_kink * max(1, max |mu|)."""
+    b = second_diff(mu)
+    return b, np.abs(b) > tol_kink * max(1.0, float(np.max(np.abs(mu))))
+
+
 def extract_kinks(fit_or_mu, tol_kink: float = KINK_TOL) -> KinkSet:
     """Interior times where the fitted slope changes by more than a relative threshold.
 
-    Time i (1-based) is a kink iff |mu_{i+1} - 2 mu_i + mu_{i-1}| exceeds
-    tol_kink * max(1, max |mu|); its sign is the sign of that second difference.
+    Time i (1-based) is a kink iff ``kink_mask`` marks its second difference;
+    its sign is the sign of that second difference.
     """
     mu = fit_or_mu.mu_hat if isinstance(fit_or_mu, TrendFit) else np.asarray(fit_or_mu, dtype=float)
-    b = second_diff(mu)
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    hits = np.flatnonzero(np.abs(b) > tol_kink * scale)
+    b, mask = kink_mask(mu, tol_kink)
+    hits = np.flatnonzero(mask)
     indices = (hits + 2).tolist()  # second-diff entry k sits at time k+3; change is at k+2
     signs = dict(zip(indices, np.sign(b[hits]).astype(int).tolist()))
     return KinkSet(indices=tuple(indices), signs=signs)
@@ -165,9 +171,3 @@ class LambdaPath:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def lambdas(self) -> np.ndarray:
-        return np.array([e.lam for e in self.entries])
-
-    def fits(self) -> list[TrendFit]:
-        return [e.fit for e in self.entries]

@@ -79,8 +79,9 @@ def write_fit_csv(path, y: TimeSeries, fit: TrendFit, kinks: KinkSet, args_echo:
     w.writerows(zip(range(1, y.n + 1), y_s, mu_s, nu_s, ["", ""] + beta_s))
     w.writerow([])
     w.writerow(["kink_time", "sign", "magnitude"])
+    beta = fit.beta_tail
     for t in kinks.indices:
-        w.writerow([t, kinks.signs[t], _fmt(float(abs(fit.beta_tail[t - 2])))])
+        w.writerow([t, kinks.signs[t], _fmt(float(abs(beta[t - 2])))])
     _write_text(path, buf.getvalue())
 
 
@@ -129,14 +130,7 @@ def write_experiment_csv(path, result: ExperimentResult, args_echo: str = "") ->
     w.writerow([
         cfg.example, cfg.spec.n, noise_label(cfg.snr), cfg.criterion.lower(), cfg.solver,
         cfg.replications, result.flagged,
-        _fmt(agg["re_mean"]), _fmt(agg["re_sd"]),
-        _fmt(agg["j_count_mean"]), _fmt(agg["j_count_sd"]),
-        _fmt(agg["e_ab_mean"]), _fmt(agg["e_ab_sd"]),
-        _fmt(agg["e_ba_mean"]), _fmt(agg["e_ba_sd"]),
-        _fmt(agg["hd_mean"]), _fmt(agg["hd_sd"]),
-        _fmt(agg["sn_freq"]), _fmt(agg["s1n_freq"]),
-        _fmt(agg["near_kink_small_mean"]), _fmt(agg["near_kink_small_sd"]),
-    ])
+    ] + [_fmt(agg[name]) for name in EXPERIMENT_COLUMNS[7:]])
     _write_text(path, buf.getvalue())
 
 

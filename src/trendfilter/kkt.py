@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KINK_TOL, LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
+from .core import KINK_TOL, LambdaPath, PathEntry, TrendFit, as_array, kink_mask, validate_grid
 from .design import second_diff, second_diff_adjoint
 
 # An active coordinate's subgradient must sit at +-1; allow this much slack
@@ -47,10 +47,6 @@ class KktReport:
     passed: bool
 
 
-def _as_y(y) -> np.ndarray:
-    return y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
-
-
 def subgradient_times_lambda(resid: np.ndarray) -> np.ndarray:
     """First n-2 entries of the double cumulative sum of the residual."""
     return np.cumsum(np.cumsum(resid))[:-2]
@@ -61,7 +57,7 @@ def check_kkt(y, mu, lam: float, tol: float = 1e-6, tol_kink: float = KINK_TOL) 
 
     At lam = 0 optimality degenerates to mu == y and is checked directly.
     """
-    yv = _as_y(y)
+    yv = as_array(y)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != yv.shape:
         raise ValueError(f"length mismatch: {yv.shape} vs {mu.shape}")
@@ -74,9 +70,7 @@ def check_kkt(y, mu, lam: float, tol: float = 1e-6, tol_kink: float = KINK_TOL) 
         return KktReport(0.0, 0, defect, ok)
     g = subgradient_times_lambda(resid) / lam
     defect = float(np.max(np.abs(resid - lam * second_diff_adjoint(g, n))))
-    b = second_diff(mu)
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    active = np.abs(b) > tol_kink * scale
+    b, active = kink_mask(mu, tol_kink)
     mismatches = int(np.sum(np.abs(g[active] - np.sign(b[active])) > SIGN_SLACK))
     inactive_ratio = float(np.max(np.abs(g[~active]))) if not active.all() else 0.0
     passed = (
@@ -89,7 +83,7 @@ def check_kkt(y, mu, lam: float, tol: float = 1e-6, tol_kink: float = KINK_TOL) 
 
 def affine_fit(y) -> np.ndarray:
     """Ordinary least-squares fit of y on (1, t), returned as a length-n vector."""
-    yv = _as_y(y)
+    yv = as_array(y)
     n = yv.size
     if n < 2:
         raise ValueError("need n >= 2")
@@ -108,7 +102,7 @@ def lambda_max(y) -> float:
     residual: for lam at or above it the affine fit's subgradient fits in the
     unit box, below it some coordinate must activate.
     """
-    yv = _as_y(y)
+    yv = as_array(y)
     resid = yv - affine_fit(yv)
     g = subgradient_times_lambda(resid)
     return float(np.max(np.abs(g))) if g.size else 0.0
@@ -136,7 +130,7 @@ def certified_path(y, lambda_grid, solve, solver: str) -> LambdaPath:
     certificate and is flagged converged only when ``ok`` holds and the
     certificate passed. Entries come back in ascending order.
     """
-    yv = _as_y(y)
+    yv = as_array(y)
     entries = []
     warm = False
     for lam in reversed(validate_grid(lambda_grid)):
@@ -162,7 +156,7 @@ def oracle_solve(y, lam: float, tol: float | None = None,
     (default 1e-10 * (1 + ||y||^2)). Structurally unrelated to the production
     solvers; intended for certification and ground truth, not speed.
     """
-    yv = _as_y(y)
+    yv = as_array(y)
     n = yv.size
     if lam < 0:
         raise ValueError("lam must be >= 0")

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LambdaPath, PathEntry, TimeSeries, TrendFit, validate_grid
+from .core import LambdaPath, PathEntry, TrendFit, as_array, validate_grid
 from .design import DesignZ
 from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
 
@@ -57,7 +57,7 @@ class LassoProblem:
     the sweep loop zips over, S2(n - j) = ||z_j||^2 and the ramp sums S1(n - j)."""
 
     def __init__(self, y, lam: float):
-        yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+        yv = as_array(y)
         if not np.isfinite(lam) or lam < 0:
             raise ValueError("lam must be finite and >= 0")
         self.y = yv
@@ -251,7 +251,7 @@ def active_set_polish(prob: LassoProblem, mu: np.ndarray) -> tuple[np.ndarray, b
 def fit(y, lam: float) -> TrendFit:
     """The lam entry of :func:`fit_path` on ``kkt.fit_ladder(lam, lambda_max(y))``,
     so the solve is warm-started down from the affine fit."""
-    yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+    yv = as_array(y)
     return fit_path(yv, fit_ladder(lam, lambda_max(yv))).entries[0].fit
 
 
@@ -267,7 +267,7 @@ def budget_path(y, lambda_grid) -> LambdaPath:
     is this route's contract); per-entry KKT certificates are still recorded
     and will generally not pass. Use :func:`fit_path` for certified fits.
     """
-    yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+    yv = as_array(y)
     grid = validate_grid(lambda_grid)
     prob = LassoProblem(yv, 0.0)
     beta = prob.Z.encode(yv)
@@ -296,7 +296,7 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     each level is polished from the sparse encoding of the fit above it, so
     the descent starts from beta = 0. The minimizer at each lambda is unique,
     so the order is a speed detail only."""
-    yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+    yv = as_array(y)
     prob = LassoProblem(yv, 0.0)
     beta = np.zeros(yv.size)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LambdaPath, TimeSeries, TrendFit
+from .core import LambdaPath, TrendFit, as_array
 from .kkt import affine_fit, certified_path
 from .kkt import check_kkt, lambda_max  # noqa: F401  bench/spans.py patches these names here
 
@@ -208,7 +208,7 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     one. A level's own verdict is that it met the stopping rule within
     10 * n rounds; the path continues past a level that did not.
     """
-    yv = y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
+    yv = as_array(y)
     line = affine_fit(yv)
     nu = np.full(yv.size, (line[-1] - line[0]) / (yv.size - 1))
     nu[0] = line[0]  # one run after index 0: the penalty of the affine fit is 0

@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import KINK_TOL, LambdaPath, TimeSeries, TrendFit, extract_kinks
+import numpy as np
+
+from .core import KINK_TOL, LambdaPath, TrendFit, as_array, kink_mask
+from .core import extract_kinks  # noqa: F401  bench/spans.py patches selection.extract_kinks
 
 
 class NoSelectableModelError(ValueError):
@@ -34,11 +37,11 @@ class SelectionScore:
 
 
 def score(y, fit: TrendFit, tol_kink: float = KINK_TOL) -> SelectionScore:
-    yv = y.y if isinstance(y, TimeSeries) else y
+    yv = as_array(y)
     n = len(yv)
     resid = yv - fit.mu_hat
     rss = float(resid @ resid)
-    k = len(extract_kinks(fit, tol_kink))
+    k = int(np.count_nonzero(kink_mask(fit.mu_hat, tol_kink)[1]))
     if rss <= 0.0:
         return SelectionScore(fit.lam, rss, k, float("-inf"), float("-inf"))
     logn = math.log(n)

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lasso, pathwise
-from .core import KINK_TOL, KinkSet, TimeSeries, extract_kinks
-from .design import second_diff
+from .core import KINK_TOL, KinkSet, TimeSeries, TrendFit, extract_kinks, kink_mask
 from .kkt import lambda_max
 from .selection import default_grid, select
 
@@ -197,31 +196,21 @@ def sign_consistency(fit_kinks: KinkSet, true_kinks: KinkSet) -> bool:
     )
 
 
-def near_kink_small_count(fit, true_kinks: KinkSet, window: int = NEAR_KINK_WINDOW,
+def near_kink_small_count(fit: TrendFit, true_kinks: KinkSet, window: int = NEAR_KINK_WINDOW,
                           small_frac: float = NEAR_KINK_SMALL_FRAC,
                           tol_kink: float = KINK_TOL) -> int:
     """Detected slope changes near true kinks that are individually small.
 
     Counts times within ``window`` of a true kink whose fitted slope change
-    clears the detection threshold yet stays below ``small_frac`` of the
+    is a kink by ``kink_mask`` yet stays at or below ``small_frac`` of the
     largest fitted slope change: the smeared-out halo the lasso route leaves
     around kink points, which the pathwise route does not.
     """
-    beta = fit.beta_tail if hasattr(fit, "beta_tail") else second_diff(np.asarray(fit, dtype=float))
-    mu = fit.mu_hat if hasattr(fit, "mu_hat") else np.asarray(fit, dtype=float)
-    n = len(beta) + 2
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    bmax = float(np.max(np.abs(beta))) if len(beta) else 0.0
-    if bmax == 0.0:
-        return 0
-    count = 0
-    for i in range(2, n):  # 1-based kink time i maps to beta index i-2
-        v = abs(beta[i - 2])
-        if v <= tol_kink * scale or v > small_frac * bmax:
-            continue
-        if any(abs(i - t0) <= window for t0 in true_kinks.indices):
-            count += 1
-    return count
+    beta, detected = kink_mask(fit.mu_hat, tol_kink)
+    size = np.abs(beta)
+    times = np.flatnonzero(detected & (size <= small_frac * float(np.max(size)))) + 2
+    near = np.abs(times[:, None] - np.asarray(true_kinks.indices, dtype=int)) <= window
+    return int(np.count_nonzero(near.any(axis=1)))
 
 
 # ---------------------------------------------------------------- experiments

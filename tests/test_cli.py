@@ -394,6 +394,36 @@ class TestNonFiniteLambda:
         assert "finite" in capsys.readouterr().err
 
 
+class TestBadTolerance:
+    @pytest.mark.parametrize("command", ["fit", "path", "select", "check"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tol_kink_rejected_before_output(self, tmp_path, noisy_line, command, value, capsys):
+        self._rejected(tmp_path, noisy_line, [command, "--tol-kink", value], capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_check_tol_rejected_before_output(self, tmp_path, noisy_line, value, capsys):
+        self._rejected(tmp_path, noisy_line, ["check", "--tol", value], capsys)
+
+    @staticmethod
+    def _rejected(tmp_path, noisy_line, argv, capsys):
+        p, y = noisy_line
+        lam = repr(0.2 * lambda_max(y))
+        if argv[0] == "check":
+            fit_out = tmp_path / "fit.csv"
+            main(["fit", "--input", str(p), "--lambda", lam, "--output", str(fit_out)])
+            argv = argv + ["--fit", str(fit_out)]
+        if argv[0] in ("fit", "check"):
+            argv = argv + ["--lambda", lam]
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        capsys.readouterr()
+        assert main(argv + ["--input", str(p), "--output", str(outdir / "out.csv")]) == 2
+        assert list(outdir.iterdir()) == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {argv[1]} must be finite and >= 0\n"
+
+
 class TestIrrep:
     def test_reference_example_output(self, capsys):
         assert main(["irrep", "--paper-example"]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,9 +70,24 @@ class TestTrendFit:
         nu = np.empty(20)
         nu[0] = mu[0]
         nu[1:] = np.diff(mu)
-        assert np.allclose(fit.nu_hat, nu, rtol=1e-12)
-        assert np.allclose(fit.beta_tail, second_diff(mu), rtol=1e-12)
+        assert np.array_equal(fit.nu_hat, nu)
+        assert np.array_equal(fit.beta_tail, second_diff(mu))
         assert fit.objective == pytest.approx(objective_value(y, mu, 0.3))
+
+    @pytest.mark.parametrize("mu", [
+        np.array([-0.0, 0.0, -0.0, 5e-324, 1e150, -1e150]),
+        np.array([1.0, 4.0, 9.0, 16.0, 25.0, 2.0**60]),
+        np.array([-0.0, -0.0, -0.0, -0.0, -0.0]),
+    ], ids=["signed-zero-and-extremes", "integer-valued", "negative-zeros"])
+    def test_views_are_bitwise_diffs(self, mu):
+        fit = TrendFit.from_mu(mu, mu, 1.0)
+        nu = np.concatenate([[mu[0]], np.diff(mu)])
+        for view, want in ((fit.nu_hat, nu), (fit.beta_tail, second_diff(mu))):
+            assert view.tobytes() == want.tobytes()
+
+    def test_stores_the_mean_vector_only(self):
+        names = [f.name for f in dataclasses.fields(TrendFit)]
+        assert names == ["lam", "mu_hat", "objective", "converged", "solver"]
 
 
 class TestKinkSet:

@@ -6,6 +6,7 @@ import pytest
 
 from trendfilter import __version__, io
 from trendfilter.core import TimeSeries, TrendFit, extract_kinks
+from trendfilter.simulate import ExperimentConfig, ExperimentResult, example2
 
 
 def _reference_fit_csv(y, fit, kinks, args_echo):
@@ -54,3 +55,21 @@ def test_fit_csv_matches_the_row_writer(tmp_path, case):
 def test_fmt_prints_special_floats():
     cells = [io._fmt(x) for x in (float("nan"), float("inf"), float("-inf"), -0.0, True, 3)]
     assert cells == ["nan", "inf", "-inf", "-0", "1", "3"]
+
+
+def test_experiment_csv_row_follows_the_header(tmp_path):
+    """The aggregate cells are the header's names, in its order."""
+    names = ["re_mean", "re_sd", "j_count_mean", "j_count_sd",
+             "e_ab_mean", "e_ab_sd", "e_ba_mean", "e_ba_sd", "hd_mean", "hd_sd",
+             "sn_freq", "s1n_freq", "near_kink_small_mean", "near_kink_small_sd"]
+    agg = {name: 0.1 * (i + 1) / 3 for i, name in enumerate(names)}
+    agg["hd_sd"] = float("nan")
+    config = ExperimentConfig(example="example2", spec=example2(n=60), snr=400.0,
+                              replications=3, criterion="MC", solver="lasso")
+    path = tmp_path / "experiment.csv"
+    io.write_experiment_csv(path, ExperimentResult(config, (), 1, agg), args_echo="simulate")
+    want = (f"# generator=trendfilter {__version__}\r\n# args=simulate\r\n"
+            + ",".join(io.EXPERIMENT_COLUMNS) + "\r\n"
+            + ",".join(["example2", "60", "medium", "mc", "lasso", "3", "1"]
+                       + [format(agg[name], ".12g") for name in names]) + "\r\n")
+    assert path.read_bytes() == want.encode("utf-8")

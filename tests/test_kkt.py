@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from trendfilter.core import TimeSeries
+from trendfilter import lasso, pathwise
+from trendfilter.core import TimeSeries, extract_kinks
+from trendfilter.design import second_diff
 from trendfilter.kkt import (
+    SIGN_SLACK,
     affine_fit,
     certified_path,
     check_kkt,
     fit_ladder,
     lambda_max,
     oracle_solve,
+    subgradient_times_lambda,
 )
+from trendfilter.selection import default_grid
 from tests.conftest import random_walk
 
 
@@ -165,3 +170,26 @@ class TestOracle:
             mu = oracle_solve(y, lam, g0=g)
             assert check_kkt(y, mu, lam, tol=1e-5).passed
             g = subgradient_times_lambda(y - mu) / lam
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("route", ["pathwise", "lasso"])
+    def test_active_set_is_the_kink_set(self, rng, route):
+        """The certificate's active set is the kink set ``extract_kinks`` reports:
+        its margins, recomputed over that set, are the report's, bit for bit."""
+        module = {"pathwise": pathwise, "lasso": lasso}[route]
+        y = random_walk(rng, 120)
+        path = module.fit_path(y, default_grid(lambda_max(y), size=12))
+        for e in path.entries[1:]:
+            mu = e.fit.mu_hat
+            b = second_diff(mu)
+            g = subgradient_times_lambda(y - mu) / e.lam
+            for tol_kink in (1e-8, 1e-4):
+                report = check_kkt(y, mu, e.lam, tol_kink=tol_kink)
+                active = np.zeros(b.size, dtype=bool)
+                active[np.array(extract_kinks(e.fit, tol_kink).indices, dtype=int) - 2] = True
+                mismatches = int(np.sum(np.abs(g[active] - np.sign(b[active])) > SIGN_SLACK))
+                ratio = float(np.max(np.abs(g[~active]))) if not active.all() else 0.0
+                assert report.active_sign_mismatches == mismatches
+                assert report.max_inactive_ratio == ratio
+            assert e.kkt == check_kkt(y, mu, e.lam)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trendfilter.core import LambdaPath, PathEntry, TrendFit
+from trendfilter.core import LambdaPath, PathEntry, TrendFit, extract_kinks
 from trendfilter.kkt import lambda_max
 from trendfilter.pathwise import fit_path
 from trendfilter.selection import (
@@ -43,6 +43,13 @@ class TestScore:
         assert s.rss == pytest.approx(float(np.sum((y - mu) ** 2)))
         assert s.sic == pytest.approx(math.log(s.rss / n) + (s.k_hat + 2) * math.log(n) / n)
         assert s.mc == pytest.approx(math.log(s.rss / n) + s.k_hat * (s.k_hat + 1) * math.log(n) / n)
+
+    def test_k_hat_counts_the_reported_kinks(self, rng):
+        y = random_walk(rng, 80)
+        path = fit_path(y, default_grid(lambda_max(y), size=12))
+        for e in path.entries:
+            for tol_kink in (0.0, 1e-8, 1e-4):
+                assert score(y, e.fit, tol_kink).k_hat == len(extract_kinks(e.fit, tol_kink))
 
     def test_zero_kinks_mc_is_plain_log(self, rng):
         y = random_walk(rng, 30)

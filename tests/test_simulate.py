@@ -206,7 +206,46 @@ class TestSignConsistency:
         assert not sign_consistency(a, b)
 
 
+def _near_kink_small_loop(fit, true_kinks, window=5, small_frac=0.1, tol_kink=1e-8):
+    """The statistic one time at a time, as first written."""
+    beta = fit.beta_tail
+    mu = fit.mu_hat
+    n = len(beta) + 2
+    scale = max(1.0, float(np.max(np.abs(mu))))
+    bmax = float(np.max(np.abs(beta))) if len(beta) else 0.0
+    if bmax == 0.0:
+        return 0
+    count = 0
+    for i in range(2, n):
+        v = abs(beta[i - 2])
+        if v <= tol_kink * scale or v > small_frac * bmax:
+            continue
+        if any(abs(i - t0) <= window for t0 in true_kinks.indices):
+            count += 1
+    return count
+
+
 class TestNearKinkStat:
+    def test_matches_the_loop(self, rng):
+        from trendfilter.core import TrendFit
+        n = 80
+        tent = np.abs(np.arange(1, n + 1) - 40.0)
+        smeared = tent.copy()
+        smeared[37:43] += np.array([0.01, 0.03, 0.05, 0.05, 0.03, 0.01])
+        fits = [tent, smeared, np.zeros(n), 2.0 + 0.5 * np.arange(n)]
+        fits += [np.cumsum(np.where(rng.random(n) < 0.3, rng.normal(size=n), 0.0))
+                 for _ in range(20)]
+        truths = [_ks([], []), _ks([40], [1]), _ks([10, 40, 70], [1, -1, 1]),
+                  _ks([3, 78], [-1, 1])]
+        for mu in fits:
+            fit = TrendFit.from_mu(np.zeros(n), mu, 1.0)
+            for truth in truths:
+                for window, small_frac, tol_kink in ((5, 0.1, 1e-8), (0, 0.5, 1e-4),
+                                                     (12, 1.0, 0.0)):
+                    kw = dict(window=window, small_frac=small_frac, tol_kink=tol_kink)
+                    assert (near_kink_small_count(fit, truth, **kw)
+                            == _near_kink_small_loop(fit, truth, **kw))
+
     def test_halo_counted_crisp_spike_not(self):
         from trendfilter.core import TrendFit
         n = 60
