@@ -5,7 +5,7 @@ starting at row j. ``Z @ b`` reconstructs the mean vector from (level, first
 slope, slope changes).
 
 It exposes matrix-free products in O(n) and gives any block of its Gram matrix
-in closed form, which is all the solvers and the irrepresentable-condition
+in closed form: all the lasso route's sweeps and the irrepresentable-condition
 report need. Dense materialization is for reference tests only.
 """
 

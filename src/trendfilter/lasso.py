@@ -7,8 +7,8 @@ reconstruction design Z and the l1 penalty on columns 3..n only:
     0.5 * ||y - Z beta||^2 + lam * sum_{j>=3} |beta_j|
 
 The route is matrix-free, in O(n) memory and with no size cap: a coordinate
-step reads column j as a contiguous ramp, ``Z beta`` and ``Z'y`` are double
-cumulative sums, and the active-set solve takes its Gram block in closed form.
+step reads column j as a contiguous ramp, and ``Z beta`` and ``Z'r`` are double
+cumulative sums.
 
 ``cd_fit`` is plain cyclic coordinate descent: the unpenalized pair (1, 2) by
 an exact least-squares step, each penalized coordinate by soft-thresholding at
@@ -23,18 +23,20 @@ leave; ``cd_fit`` runs them to a tolerance, as the reference the polish is
 tested against.
 
 ``active_set_polish``, behind ``fit_path`` and ``fit``, alternates an exact
-solve of the sign-restricted subproblem on the nonzero set (with zero-crossing
-line searches) with an admission step: one ``Z'r`` finds the inactive
-coordinates that violate |z_j'r| <= lam, and only those are re-tested, largest
-violation first, and stepped in, so a round is O(n) plus O(n) per candidate
-(the screen-then-check working set of glmnet and the strong rules). A level
-ends once a round admits nothing, or once its restricted solve returns to a
-beta the level has held, as a pathwise level ends on a repeated state.
-Adjacent Z columns are so collinear that plain cyclic descent cannot reach
-tight tolerances on its own at realistic n, so the polish is where production
-accuracy comes from. mu_hat = Z beta_hat either way. ``fit_path`` emits
-its fits through ``kkt.certified_path``, which certifies each one and flags
-it converged only when the polish converged and the certificate passed.
+solve of the sign-restricted subproblem on the nonzero set, the pathwise
+polish's run-value problem with knots at the active columns (an O(k)
+tridiagonal solve per zero-crossing line search), with an admission step: one
+``Z'r`` finds the inactive coordinates that violate |z_j'r| <= lam, and only
+those are re-tested, largest violation first, and stepped in, so a round is
+O(n) plus O(n) per candidate (the screen-then-check working set of glmnet and
+the strong rules). A level ends once a round admits nothing, or once its
+restricted solve returns to a beta the level has held, as a pathwise level ends
+on a repeated state. Adjacent Z columns are so collinear that plain cyclic
+descent cannot reach tight tolerances on its own at realistic n, so the polish
+is where production accuracy comes from. mu_hat = Z beta_hat either way.
+``fit_path`` carries one beta down the grid and emits its fits through
+``kkt.certified_path``, which flags a fit converged only when the polish
+converged and its certificate passed.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 from .core import LambdaPath, PathEntry, TrendFit, as_array, validate_grid
 from .design import DesignZ
 from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
+from .pathwise import _prefix_sums, _run_values
 
 MAX_ROUNDS = 200  # a level's cap on polish rounds
 SWEEPS_PER_RUNG = 15  # budget_path's sweeps per rung; fewer once one moves under BUDGET_TOL
@@ -52,9 +55,10 @@ BUDGET_TOL = 1e-6
 
 class LassoProblem:
     """One per path, with ``lam`` set per level, and the lambda-free O(n) pieces
-    every level rereads: Z'y, the column norms, the Gram block of the
-    unpenalized pair, the ramp 0, 1, ..., n-1, and the lists over j >= 2 that
-    the sweep loop zips over, S2(n - j) = ||z_j||^2 and the ramp sums S1(n - j)."""
+    every level rereads: y's least-squares line (level, slope) and the prefix
+    sums of y less it, the column norms, the Gram block of the unpenalized
+    pair, the ramp 0, 1, ..., n-1, and the lists over j >= 2 that the sweep
+    loop zips over, S2(n - j) = ||z_j||^2 and the ramp sums S1(n - j)."""
 
     def __init__(self, y, lam: float):
         yv = as_array(y)
@@ -63,7 +67,9 @@ class LassoProblem:
         self.y = yv
         self.lam = float(lam)
         self.Z = DesignZ(yv.size)
-        self.Zty = self.Z.rmatvec(yv)
+        line = affine_fit(yv)
+        self._line = np.array([line[0], line[1] - line[0]])
+        self._sums = _prefix_sums(yv - line)  # centred, so a level offset stays out of the sums
         self._norms = self.Z.column_norms_sq()
         self._G2 = self.Z.gram([0, 1])
         self._t = np.arange(yv.size, dtype=float)
@@ -74,13 +80,6 @@ class LassoProblem:
     @property
     def n(self) -> int:
         return self.y.size
-
-
-def _sparse_encode(Z: DesignZ, mu: np.ndarray) -> np.ndarray:
-    """beta = Z^-1 mu with numerically-zero slope changes set to exact zeros."""
-    beta = Z.encode(mu)
-    beta[2:][np.abs(beta[2:]) < 1e-12 * (1.0 + float(np.max(np.abs(beta))))] = 0.0
-    return beta
 
 
 def _block_ls_step(prob, beta, r):
@@ -163,31 +162,30 @@ def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
                             solver="lasso")
 
 
-def _converge_active(Z, beta, act, Zty, lam):
+def _converge_active(prob, beta, act):
     """Exactly solve the sign-restricted problem on the active set, walking
-    zero crossings (each drops a coordinate, with its Gram row and column).
-    Mutates beta, which must be zero off the affine pair and nonzero on ``act``."""
-    idx = np.concatenate(([0, 1], act)).astype(np.intp)
-    G = Z.gram(idx)
+    zero crossings (each drops a coordinate). It is a run-value problem with
+    runs from 0, 1 and each active column, solved on y less its line, which is
+    added back: beta = (alpha_0, alpha_1, diff(alpha)[1:]) for run values
+    alpha. Mutates beta, zero off the affine pair and nonzero on ``act``."""
+    a = np.concatenate(([0, 1], act)).astype(np.intp)
     for _ in range(4 * (len(act) + 4)):
-        b0 = beta[idx[2:]]
-        signs = np.sign(b0)
-        rhs = Zty[idx]
-        rhs[2:] -= lam * signs
-        sol = np.linalg.solve(G, rhs)
-        sol += np.linalg.solve(G, rhs - G @ sol)  # one refinement pass
-        cross = np.flatnonzero(np.sign(sol[2:]) != signs)
+        b0 = beta[a[2:]]
+        signs = np.concatenate(([0.0], np.sign(b0)))
+        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
+        alpha = _run_values(a, np.concatenate((a[1:], [prob.n])) - 1, *prob._sums, h, prob.lam)
+        sol = np.concatenate((alpha[:2] + prob._line, alpha[2:] - alpha[1:-1]))
+        cross = np.flatnonzero(np.sign(sol[2:]) != signs[1:])
         tc = -b0[cross] / (sol[2:][cross] - b0[cross])  # step at which each one reaches zero
         if not tc.size or tc.min() >= 1.0:
-            beta[idx] += sol - beta[idx]
+            beta[a] = sol
             return
         k = int(np.argmin(tc))  # the first crossing; ties go to the lowest column
-        beta[idx] += tc[k] * (sol - beta[idx])
-        beta[idx[2 + cross[k]]] = 0.0
-        keep = beta[idx] != 0.0
+        beta[a] += tc[k] * (sol - beta[a])
+        beta[a[2 + cross[k]]] = 0.0
+        keep = beta[a] != 0.0
         keep[:2] = True
-        idx = idx[keep]
-        G = G[np.ix_(keep, keep)]
+        a = a[keep]
 
 
 def _admit(prob, beta, r):
@@ -213,7 +211,7 @@ def _admit(prob, beta, r):
     return np.array(admitted, dtype=np.intp)
 
 
-def active_set_polish(prob: LassoProblem, mu: np.ndarray) -> tuple[np.ndarray, bool]:
+def active_set_polish(prob: LassoProblem, beta: np.ndarray) -> bool:
     """Solve the sign-restricted subproblem on the nonzero set exactly, then
     admit the KKT violators among the other coordinates; repeat until none is
     admitted. The exact restricted solve replaces inner coordinate cycling,
@@ -223,29 +221,29 @@ def active_set_polish(prob: LassoProblem, mu: np.ndarray) -> tuple[np.ndarray, b
     unchanged. A round is a function of beta, so a restricted solve that lands
     on a beta the level has held starts a cycle (subgradients at their bound to
     within round-off, admitted and dropped again) that would repeat forever:
-    the level ends there, and the certificate judges the fit. The fit ends
-    with an exact O(n) least-squares refit of the unpenalised affine pair,
-    which the dense restricted solve leaves off its optimum at large n. Takes
-    a seed mu and returns ``(mu, converged)``, this polish's own verdict:
-    False only after ``MAX_ROUNDS`` rounds. At lam = 0 the answer is y."""
-    lam = prob.lam
-    if lam == 0.0:
-        return prob.y.copy(), True
-    Z = prob.Z
-    beta = _sparse_encode(Z, mu)
+    the level ends there, and the certificate judges the fit. It ends with an
+    exact O(n) least-squares refit of the affine pair on the last residual,
+    which the round-off of the prefix sums and of Z beta leave off its optimum
+    at large n. Moves a seed beta, zero off its active set, to the fit and
+    returns this polish's own verdict: False only after ``MAX_ROUNDS``
+    rounds. At lam = 0 the fit is y."""
+    if prob.lam == 0.0:
+        beta[:] = prob.Z.encode(prob.y)
+        return True
     seen = set()
     converged = False
     for _ in range(MAX_ROUNDS):
-        _converge_active(Z, beta, np.flatnonzero(beta[2:]) + 2, prob.Zty, lam)
+        _converge_active(prob, beta, np.flatnonzero(beta[2:]) + 2)
         # a 64-bit hash of beta's bytes: a false repeat needs a collision
         state = hash(beta.tobytes())
-        if state in seen or not _admit(prob, beta, prob.y - Z.matvec(beta)).size:
+        r = prob.y - prob.Z.matvec(beta)
+        if state in seen or not _admit(prob, beta, r).size:
             converged = True
             break
         seen.add(state)
-    mu = Z.matvec(beta)
-    mu += affine_fit(prob.y - mu)  # the unpenalised pair, refit exactly in O(n)
-    return mu, converged
+    line = affine_fit(r)  # the unpenalised pair, refit exactly in O(n)
+    beta[:2] += line[0], line[1] - line[0]
+    return converged
 
 
 def fit(y, lam: float) -> TrendFit:
@@ -293,18 +291,16 @@ def budget_path(y, lambda_grid) -> LambdaPath:
 
 def fit_path(y, lambda_grid) -> LambdaPath:
     """Certified fits for an increasing grid through ``kkt.certified_path``:
-    each level is polished from the sparse encoding of the fit above it, so
-    the descent starts from beta = 0. The minimizer at each lambda is unique,
-    so the order is a speed detail only."""
+    one beta is polished level by level from the fit above it, so the descent
+    starts from beta = 0, and each level emits Z beta once. The minimizer at
+    each lambda is unique, so the order is a speed detail only."""
     yv = as_array(y)
     prob = LassoProblem(yv, 0.0)
     beta = np.zeros(yv.size)
 
     def solve(lam):
-        nonlocal beta
         prob.lam = lam
-        mu, ok = active_set_polish(prob, prob.Z.matvec(beta))
-        beta = _sparse_encode(prob.Z, mu)
-        return mu, ok
+        ok = active_set_polish(prob, beta)
+        return prob.Z.matvec(beta), ok
 
     return certified_path(yv, lambda_grid, solve, "lasso")

@@ -238,6 +238,8 @@ class ExperimentConfig:
             raise ValueError("solver must be 'pathwise' or 'lasso'")
         if self.grid_size < 1 or not 0 < self.grid_min_rel <= 1:
             raise ValueError("bad grid parameters")
+        if not 0 <= self.tol_kink < math.inf:
+            raise ValueError("tol_kink must be finite and >= 0")
 
 
 def example1(n: int = 500, **kw) -> PiecewiseLinearSpec:

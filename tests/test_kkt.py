@@ -3,7 +3,7 @@ import pytest
 
 from trendfilter import lasso, pathwise
 from trendfilter.core import TimeSeries, extract_kinks
-from trendfilter.design import second_diff
+from trendfilter.design import second_diff, second_diff_adjoint
 from trendfilter.kkt import (
     SIGN_SLACK,
     affine_fit,
@@ -94,6 +94,31 @@ class TestCheckKkt:
         lam = lambda_max(y) / 3
         mu = oracle_solve(y, lam, tol=1e-12 * (1 + y @ y))
         assert check_kkt(y, mu, lam, tol=1e-6).passed
+
+    def test_defect_matches_the_full_adjoint(self):
+        # the closed-form defect against max|resid - lam D'g| over all n entries
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            n = int(rng.integers(3, 3001))
+            lam = float(rng.uniform(0.1, 100.0))
+            y = rng.normal(0.0, 10.0, n)
+            mu = y - rng.standard_normal(n) * float(rng.choice([1e-6, 1.0, 1e3]))
+            resid = y - mu
+            g = subgradient_times_lambda(resid) / lam
+            ref = float(np.max(np.abs(resid - lam * second_diff_adjoint(g, n))))
+            got = check_kkt(y, mu, lam).stationarity_residual
+            assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("shift", ["level", "line"])
+    def test_affine_error_rejected_by_the_defect(self, rng, shift):
+        y = random_walk(rng, 200)
+        lam = lambda_max(y) / 10
+        mu = pathwise.fit(y, lam).mu_hat.copy()
+        assert check_kkt(y, mu, lam).passed
+        mu += 1e-3 * (1.0 if shift == "level" else np.arange(200.0) / 200)
+        report = check_kkt(y, mu, lam)
+        assert not report.passed
+        assert report.stationarity_residual > 1e-6 * (1 + np.max(np.abs(y)))
 
     def test_lambda_zero_degenerate(self, rng):
         y = random_walk(rng, 10)

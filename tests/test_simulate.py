@@ -308,6 +308,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             self._tiny_config(criterion="aic")
 
+    @pytest.mark.parametrize("tol_kink", [float("nan"), float("inf"), -1.0])
+    def test_bad_tol_kink_rejected(self, tol_kink):
+        # NaN counted no kinks, and -1 failed later with a message about signs
+        with pytest.raises(ValueError, match="tol_kink"):
+            self._tiny_config(tol_kink=tol_kink)
+
     def test_replication_run_matches_batch(self):
         cfg = self._tiny_config(snr=200.0, replications=2)
         res = run_experiment(cfg)
