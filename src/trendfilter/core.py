@@ -43,6 +43,15 @@ def as_array(y) -> np.ndarray:
     return y.y if isinstance(y, TimeSeries) else np.asarray(y, dtype=float)
 
 
+def finite_array(y) -> np.ndarray:
+    """``as_array(y)``, rejected with a ValueError unless every value is
+    finite, as a TimeSeries is: what the solvers' entry points take."""
+    yv = as_array(y)
+    if not np.all(np.isfinite(yv)):
+        raise ValueError("series contains non-finite values")
+    return yv
+
+
 def objective_value(y, mu, lam: float) -> float:
     """0.5 * sum (y_t - mu_t)^2 + lam * sum_{t=3..n} |mu_t - 2 mu_{t-1} + mu_{t-2}|."""
     yv = as_array(y)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KINK_TOL, LambdaPath, PathEntry, TrendFit, as_array, kink_mask, validate_grid
+from .core import (KINK_TOL, LambdaPath, PathEntry, TrendFit, as_array, finite_array, kink_mask,
+                   validate_grid)
 from .design import second_diff, second_diff_adjoint
 
 # An active coordinate's subgradient must sit at +-1; allow this much slack
@@ -158,10 +159,10 @@ def oracle_solve(y, lam: float, tol: float | None = None,
     (default 1e-10 * (1 + ||y||^2)). Structurally unrelated to the production
     solvers; intended for certification and ground truth, not speed.
     """
-    yv = as_array(y)
+    yv = finite_array(y)
     n = yv.size
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError("lam must be finite and >= 0")
     if lam == 0.0:
         return yv.copy()
     if tol is None:

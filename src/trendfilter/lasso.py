@@ -10,22 +10,22 @@ The route is matrix-free, in O(n) memory and with no size cap: a coordinate
 step reads column j as a contiguous ramp, and ``Z beta`` and ``Z'r`` are double
 cumulative sums.
 
-``cd_fit`` is plain cyclic coordinate descent: the unpenalized pair (1, 2) by
-an exact least-squares step, each penalized coordinate by soft-thresholding at
-lam / ||z_j||^2. A sweep is O(n): one ``Z'r``, one scalar loop that carries
-only the closed-form update of each coordinate's inner product from the moves
-before it, then, in numpy, the moves d = beta_new - beta_old, their largest
-relative size and one ``Z d`` that applies them all (the pathwise coordinate
-descent of Friedman, Hastie, Hoefling & Tibshirani 2007). A path builds one
-``LassoProblem`` and sets its ``lam`` per level.
-``budget_path`` runs a fixed budget of these sweeps for the smearing they
-leave; ``cd_fit`` runs them to a tolerance, as the reference the polish is
-tested against.
+``_cd_pass`` is one sweep of plain cyclic coordinate descent: the
+unpenalized pair (1, 2) by an exact least-squares step, each penalized
+coordinate by soft-thresholding at lam / ||z_j||^2. A sweep is O(n): one
+``Z'r``, one scalar loop that carries only the closed-form update of each
+coordinate's inner product from the moves before it, then, in numpy, the
+moves d = beta_new - beta_old, their largest relative size and one ``Z d``
+that applies them all (the pathwise coordinate descent of Friedman, Hastie,
+Hoefling & Tibshirani 2007). ``budget_path`` runs a fixed budget of these
+sweeps for the smearing they leave. A path builds one ``LassoProblem`` and
+sets its ``lam`` per level.
 
 ``active_set_polish``, behind ``fit_path`` and ``fit``, alternates an exact
 solve of the sign-restricted subproblem on the nonzero set, the pathwise
-polish's run-value problem with knots at the active columns (an O(k)
-tridiagonal solve per zero-crossing line search), with an admission step: one
+polish's run-value problem with knots at the active columns (one O(k) pass
+of the shared scalar kernel per zero-crossing line search, with the walk on
+Python floats too), with an admission step: one
 ``Z'r`` finds the inactive coordinates that violate |z_j'r| <= lam, and only
 those are re-tested, largest violation first, and stepped in, so a round is
 O(n) plus O(n) per candidate (the screen-then-check working set of glmnet and
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LambdaPath, PathEntry, TrendFit, as_array, validate_grid
+from .core import LambdaPath, PathEntry, TrendFit, as_array, finite_array, validate_grid
 from .design import DesignZ
 from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
 from .pathwise import _prefix_sums, _run_values
@@ -134,58 +134,41 @@ def _cd_pass(prob, beta, r):
     return float(np.max(np.abs(d) / (1.0 + np.abs(new)), initial=maxrel))
 
 
-def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
-           tol: float = 1e-8, max_iter: int = 100_000) -> TrendFit:
-    """Cyclic coordinate descent to the stated tolerance.
-
-    Converged when no coordinate moves more than tol * (1 + |beta_j|) within a
-    full sweep; exceeding ``max_iter`` sweeps flags the fit instead of raising.
-    At lam = 0 the default start is the exact interpolant encoding, which the
-    first sweep simply confirms.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if beta_init is not None:
-        beta = np.asarray(beta_init, dtype=float).copy()
-    elif prob.lam == 0.0:
-        beta = prob.Z.encode(prob.y)
-    else:
-        beta = np.zeros(prob.n)
-    r = prob.y - prob.Z.matvec(beta)
-    converged = False
-    for _ in range(max_iter):
-        maxrel = _cd_pass(prob, beta, r)
-        if maxrel <= tol:
-            converged = True
-            break
-    return TrendFit.from_mu(prob.y, prob.Z.matvec(beta), prob.lam, converged=converged,
-                            solver="lasso")
-
-
 def _converge_active(prob, beta, act):
     """Exactly solve the sign-restricted problem on the active set, walking
     zero crossings (each drops a coordinate). It is a run-value problem with
     runs from 0, 1 and each active column, solved on y less its line, which is
     added back: beta = (alpha_0, alpha_1, diff(alpha)[1:]) for run values
-    alpha. Mutates beta, zero off the affine pair and nonzero on ``act``."""
-    a = np.concatenate(([0, 1], act)).astype(np.intp)
+    alpha. The walk runs on lists of Python floats and writes beta once, at
+    its end. Mutates beta, zero off the affine pair and nonzero on ``act``."""
+    n, lam, (l0, l1) = prob.n, prob.lam, prob._line.tolist()
+    a = [0, 1, *act.tolist()]
+    cur = beta[a].tolist()
+    dropped = []
     for _ in range(4 * (len(act) + 4)):
-        b0 = beta[a[2:]]
-        signs = np.concatenate(([0.0], np.sign(b0)))
-        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-        alpha = _run_values(a, np.concatenate((a[1:], [prob.n])) - 1, *prob._sums, h, prob.lam)
-        sol = np.concatenate((alpha[:2] + prob._line, alpha[2:] - alpha[1:-1]))
-        cross = np.flatnonzero(np.sign(sol[2:]) != signs[1:])
-        tc = -b0[cross] / (sol[2:][cross] - b0[cross])  # step at which each one reaches zero
-        if not tc.size or tc.min() >= 1.0:
-            beta[a] = sol
-            return
-        k = int(np.argmin(tc))  # the first crossing; ties go to the lowest column
-        beta[a] += tc[k] * (sol - beta[a])
-        beta[a[2 + cross[k]]] = 0.0
-        keep = beta[a] != 0.0
-        keep[:2] = True
-        a = a[keep]
+        signs = [0.0] + [1.0 if v > 0.0 else -1.0 for v in cur[2:]]  # cur is nonzero past the pair
+        h = [s - t for s, t in zip([0.0, *signs], [*signs, 0.0])]
+        alpha = _run_values(a, [j - 1 for j in a[1:]] + [n - 1], *prob._sums, h, lam).tolist()
+        sol = [alpha[0] + l0, alpha[1] + l1] + [v - u for u, v in zip(alpha[1:], alpha[2:])]
+        # the first zero crossing: the least step below 1 at which a
+        # coordinate reaches zero, the lowest column on a tie
+        first, tmin = None, 1.0
+        for i in range(2, len(a)):
+            v, b0 = sol[i], cur[i]
+            if not (v > 0.0 if b0 > 0.0 else v < 0.0):
+                tc = -b0 / (v - b0)
+                if tc < tmin:
+                    first, tmin = i, tc
+        if first is None:
+            cur = sol
+            break
+        cur = [u + tmin * (v - u) for u, v in zip(cur, sol)]
+        cur[first] = 0.0
+        dropped += [j for j, v in zip(a[2:], cur[2:]) if v == 0.0]
+        keep = [0, 1] + [i for i in range(2, len(a)) if cur[i] != 0.0]
+        a, cur = [a[i] for i in keep], [cur[i] for i in keep]
+    beta[a] = cur
+    beta[dropped] = 0.0
 
 
 def _admit(prob, beta, r):
@@ -249,7 +232,7 @@ def active_set_polish(prob: LassoProblem, beta: np.ndarray) -> bool:
 def fit(y, lam: float) -> TrendFit:
     """The lam entry of :func:`fit_path` on ``kkt.fit_ladder(lam, lambda_max(y))``,
     so the solve is warm-started down from the affine fit."""
-    yv = as_array(y)
+    yv = finite_array(y)
     return fit_path(yv, fit_ladder(lam, lambda_max(yv))).entries[0].fit
 
 
@@ -265,7 +248,7 @@ def budget_path(y, lambda_grid) -> LambdaPath:
     is this route's contract); per-entry KKT certificates are still recorded
     and will generally not pass. Use :func:`fit_path` for certified fits.
     """
-    yv = as_array(y)
+    yv = finite_array(y)
     grid = validate_grid(lambda_grid)
     prob = LassoProblem(yv, 0.0)
     beta = prob.Z.encode(yv)
@@ -294,7 +277,7 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     one beta is polished level by level from the fit above it, so the descent
     starts from beta = 0, and each level emits Z beta once. The minimizer at
     each lambda is unique, so the order is a speed detail only."""
-    yv = as_array(y)
+    yv = finite_array(y)
     prob = LassoProblem(yv, 0.0)
     beta = np.zeros(yv.size)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LambdaPath, TrendFit, as_array
+from .core import LambdaPath, TrendFit, finite_array
 from .kkt import affine_fit, certified_path
 from .kkt import check_kkt, lambda_max  # noqa: F401  bench/spans.py patches these names here
 
@@ -61,24 +61,6 @@ def _runs_of(nu: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], nu[1:] != nu[:-1])))
 
 
-def _tridiag_solve(off, diag, rhs):
-    """Thomas algorithm for a symmetric tridiagonal system; off[k] couples
-    unknowns k and k + 1. Stable here: the matrix is diagonally dominant."""
-    off, diag, rhs = off.tolist(), diag.tolist(), rhs.tolist()
-    G = len(diag)
-    cp, dp = [0.0] * G, [0.0] * G
-    m = diag[0]
-    dp[0] = rhs[0] / m
-    for i in range(1, G):
-        cp[i - 1] = off[i - 1] / m
-        m = diag[i] - off[i - 1] * cp[i - 1]
-        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / m
-    x = dp
-    for i in range(G - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return np.array(x)
-
-
 def _run_values(a, b, cs_y, cs_ty, h, lam):
     """Run values minimising the objective for runs [a_g, b_g] with the
     boundary subgradients h frozen.
@@ -86,26 +68,49 @@ def _run_values(a, b, cs_y, cs_ty, h, lam):
     Solved in knot form: on run g, mu interpolates linearly from v_{g-1} (0
     before the first run) to v_g, its value at the run's end, so the normal
     equations in v are tridiagonal, O(G) in time and memory, and well
-    conditioned, where those in the run values themselves are dense."""
-    L = (b - a + 1).astype(float)
-    sy = cs_y[b + 1] - cs_y[a]
-    wy = (cs_ty[b + 1] - cs_ty[a] - a * sy) / L  # sum of y_t (t - a + 1) / L over the run
+    conditioned, where those in the run values themselves are dense. One
+    scalar pass on Python floats reads each run's sums and eliminates its
+    row as the next run completes it (the Thomas algorithm, stable here as
+    the matrix is diagonally dominant); a back substitution gives v. The
+    prefix sums may be lists or arrays, and a, b and h lists or arrays."""
+    if isinstance(a, np.ndarray):
+        a, b, h = a.tolist(), b.tolist(), h.tolist()
     # with weights w = k / L (k = 1..L) on each run: v_g gathers sum w^2 over
     # run g and sum (1 - w)^2 over run g + 1, and v_g, v_{g+1} share sum w (1 - w)
-    diag = (L + 1) * (2 * L + 1) / (6 * L)
-    diag[:-1] += (L[1:] - 1) * (2 * L[1:] - 1) / (6 * L[1:])
-    hl = lam * h / L  # the penalty's gradient in v: alpha_g = (v_g - v_{g-1}) / L_g
-    rhs = wy - hl
-    rhs[:-1] += sy[1:] - wy[1:] + hl[1:]
-    v = _tridiag_solve((L[1:] ** 2 - 1) / (6 * L[1:]), diag, rhs)
-    return (v - np.concatenate(([0.0], v[:-1]))) / L
+    Ls, cp, dp = [], [], []
+    off = p = q = 0.0  # the row eliminated last: its coupling to the next, pivot ratio, reduced rhs
+    first = True
+    for ag, bg, hg in zip(a, b, h):
+        L = float(bg - ag + 1)
+        sy = cs_y[bg + 1] - cs_y[ag]
+        wy = (cs_ty[bg + 1] - cs_ty[ag] - ag * sy) / L  # sum of y_t (t - a + 1) / L over the run
+        hl = lam * hg / L  # the penalty's gradient in v: alpha_g = (v_g - v_{g-1}) / L_g
+        L2, L6 = 2 * L, 6 * L
+        Ls.append(L)
+        if first:
+            first = False
+        else:  # this run completes the row before it, which is then eliminated
+            m = diag + (L - 1) * (L2 - 1) / L6 - off * p
+            q = (rhs + (sy - wy + hl) - off * q) / m
+            dp.append(q)
+            off = (L * L - 1) / L6
+            p = off / m
+            cp.append(p)
+        diag = (L + 1) * (L2 + 1) / L6
+        rhs = wy - hl
+    v = (rhs - off * q) / (diag - off * p)
+    dp.append(v)
+    for g in range(len(cp) - 1, -1, -1):
+        v = dp[g] = dp[g] - cp[g] * v
+    return np.array([(v - u) / L for v, u, L in zip(dp, [0.0, *dp[:-1]], Ls)])
 
 
 def _prefix_sums(y):
     """cumsum(y) and cumsum(t * y), t = 1..n, each with a leading 0: the run
-    sums of every polish of a path."""
+    sums of every polish of a path, as lists, which ``_run_values`` indexes
+    as Python floats."""
     cs_ty = np.cumsum(np.arange(1, y.size + 1) * y)
-    return np.concatenate([[0.0], np.cumsum(y)]), np.concatenate([[0.0], cs_ty])
+    return [0.0, *np.cumsum(y).tolist()], [0.0, *cs_ty.tolist()]
 
 
 def _split_scan(y, nu, r, lam):
@@ -140,7 +145,8 @@ def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
     sign closes at step 0 and is dropped there. The move is taken untested.
     Returns whether the walk ended on a full step, the exact solve of its
     pattern. ``sums`` is ``_prefix_sums(y)``, taken once per path; each step
-    of the walk is a few O(G) numpy operations and one tridiagonal solve."""
+    of the walk is a few O(G) numpy operations and one scalar O(G) pass of
+    ``_run_values``."""
     n = y.size
     start = np.zeros(n, dtype=bool)
     start[_runs_of(nu)] = True
@@ -208,7 +214,7 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     one. A level's own verdict is that it met the stopping rule within
     10 * n rounds; the path continues past a level that did not.
     """
-    yv = as_array(y)
+    yv = finite_array(y)
     line = affine_fit(yv)
     nu = np.full(yv.size, (line[-1] - line[0]) / (yv.size - 1))
     nu[0] = line[0]  # one run after index 0: the penalty of the affine fit is 0

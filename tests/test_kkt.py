@@ -163,6 +163,18 @@ class TestFitLadder:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("bad", ["nan-y", "inf-y", "nan-lam", "inf-lam"])
+    def test_non_finite_input_rejected_at_once(self, rng, bad):
+        # it used to run the whole iteration budget on a NaN gap (51 s at
+        # n = 50 with the default budget), then raise OracleBudgetError
+        y, lam = random_walk(rng, 50), 1.0
+        if bad.endswith("-y"):
+            y[20] = float(bad[:3])
+        else:
+            lam = float(bad[:3])
+        with pytest.raises(ValueError, match="finite"):
+            oracle_solve(y, lam, max_iter=10)
+
     def test_lambda_zero_returns_input(self, rng):
         y = random_walk(rng, 15)
         assert np.array_equal(oracle_solve(y, 0.0), y)

@@ -1,19 +1,49 @@
 import numpy as np
 import pytest
 
-from trendfilter.core import extract_kinks, objective_value
+import warnings
+
+from trendfilter.core import TrendFit, extract_kinks, objective_value
 from trendfilter.design import DesignZ, InvalidDimensionError, second_diff
 from trendfilter.kkt import affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter import lasso, pathwise
 from trendfilter.lasso import (LassoProblem, _admit, _block_ls_step, _cd_pass, _converge_active,
-                               active_set_polish, budget_path, cd_fit, fit, fit_path)
+                               active_set_polish, budget_path, fit, fit_path)
 from trendfilter.selection import default_grid, select
 from trendfilter.simulate import PRESETS, NoiseSpec, PiecewiseLinearSpec, add_noise, gen_trend
 from tests.conftest import random_walk
+from tests.test_pathwise import _numpy_run_values
 
 
 def _noisy(shape, n, snr, seed):
     return add_noise(gen_trend(PRESETS[shape](n=n)), NoiseSpec(snr=snr, seed=seed)).y
+
+
+def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
+           tol: float = 1e-8, max_iter: int = 100_000) -> TrendFit:
+    """Cyclic coordinate descent to the stated tolerance: the sweep of
+    ``budget_path`` run until no coordinate moves more than
+    tol * (1 + |beta_j|), the reference the polish is tested against.
+    Exceeding ``max_iter`` sweeps flags the fit instead of raising. At lam = 0
+    the default start is the exact interpolant encoding, which the first
+    sweep simply confirms."""
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    if beta_init is not None:
+        beta = np.asarray(beta_init, dtype=float).copy()
+    elif prob.lam == 0.0:
+        beta = prob.Z.encode(prob.y)
+    else:
+        beta = np.zeros(prob.n)
+    r = prob.y - prob.Z.matvec(beta)
+    converged = False
+    for _ in range(max_iter):
+        maxrel = _cd_pass(prob, beta, r)
+        if maxrel <= tol:
+            converged = True
+            break
+    return TrendFit.from_mu(prob.y, prob.Z.matvec(beta), prob.lam, converged=converged,
+                            solver="lasso")
 
 
 def _reference_pass(prob, beta, r):
@@ -241,6 +271,44 @@ def _dense_converge_active(prob, beta, act):
         G = G[np.ix_(keep, keep)]
 
 
+def _numpy_converge_active(prob, beta, act):
+    """The zero-crossing walk on numpy arrays, with the numpy run-value
+    kernel: signs, the restricted solve, the crossings and the partial step
+    are array operations, and beta is written at every step. The scalar walk
+    must match it bit for bit."""
+    a = np.concatenate(([0, 1], act)).astype(np.intp)
+    for _ in range(4 * (len(act) + 4)):
+        b0 = beta[a[2:]]
+        signs = np.concatenate(([0.0], np.sign(b0)))
+        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
+        alpha = _numpy_run_values(a, np.concatenate((a[1:], [prob.n])) - 1, *prob._sums, h,
+                                  prob.lam)
+        sol = np.concatenate((alpha[:2] + prob._line, alpha[2:] - alpha[1:-1]))
+        cross = np.flatnonzero(np.sign(sol[2:]) != signs[1:])
+        tc = -b0[cross] / (sol[2:][cross] - b0[cross])  # step at which each one reaches zero
+        if not tc.size or tc.min() >= 1.0:
+            beta[a] = sol
+            return
+        k = int(np.argmin(tc))  # the first crossing; ties go to the lowest column
+        beta[a] += tc[k] * (sol - beta[a])
+        beta[a[2 + cross[k]]] = 0.0
+        keep = beta[a] != 0.0
+        keep[:2] = True
+        a = a[keep]
+
+
+def _walk_case(rng, k):
+    """A restricted problem with k active columns and random signs and sizes."""
+    n = int(rng.integers(k + 10, 4 * k + 60))
+    y = random_walk(rng, n) + float(rng.normal(0.0, 100.0))
+    act = np.sort(rng.choice(np.arange(2, n), size=k, replace=False))
+    prob = LassoProblem(y, float(rng.uniform(1e-3, 1.0)) * lambda_max(y))
+    beta = rng.normal(size=n)  # the affine pair; zero past it, off the active set
+    beta[2:] = 0.0
+    beta[act] = rng.choice([-1.0, 1.0], k) * rng.uniform(0.01, 1.0, k)
+    return prob, beta, act
+
+
 class TestConvergeActive:
     def test_matches_the_dense_gram_solve(self):
         rng = np.random.default_rng(11)
@@ -269,6 +337,55 @@ class TestConvergeActive:
             else:
                 uncrossed += 1
         assert crossed >= 10 and uncrossed >= 40
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 10, 30, 80, 200])
+    def test_bitwise_equal_to_the_numpy_walk(self, k):
+        rng = np.random.default_rng(100 + k)
+        crossed = 0
+        for case in range(8):
+            prob, beta, act = _walk_case(rng, k)
+            if case % 2:  # the signs of the restricted optimum: no zero crossing
+                _numpy_converge_active(prob, beta, act)
+                act = np.flatnonzero(beta[2:]) + 2
+                beta[act] = np.sign(beta[act]) * rng.uniform(0.01, 1.0, act.size)
+            ref, got = beta.copy(), beta.copy()
+            _numpy_converge_active(prob, ref, act)
+            _converge_active(prob, got, act)
+            assert got.tobytes() == ref.tobytes()
+            crossed += np.count_nonzero(ref[2:]) < act.size
+        assert k < 10 or crossed >= 2
+
+    def test_a_tie_goes_to_the_lowest_column(self):
+        # the two lowest crossing columns reach zero at the same step t, and
+        # the higher one lands off zero there: it survives the step only if
+        # the walk zeroes the lowest one, as ties go to the lowest column.
+        # The other crossings come later, at step 0.5
+        rng = np.random.default_rng(5)
+        prob, beta, act = _walk_case(rng, 40)
+        a = np.concatenate(([0, 1], act))
+        signs = np.concatenate(([0.0], np.sign(beta[act])))
+        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
+        alpha = _numpy_run_values(a, np.concatenate((a[1:], [prob.n])) - 1, *prob._sums, h,
+                                  prob.lam)
+        sol = np.diff(alpha)[1:]  # the restricted solution at these signs, past the pair
+        hit = np.sign(sol) != signs[1:]
+        cross, v = act[hit], sol[hit]
+        assert cross.size >= 3
+        beta[cross] = -v
+        for c in np.linspace(0.2, 0.45, 4000):  # exact ties that land off zero are rare
+            t = -(-c * v[0]) / (v[0] + c * v[0])
+            u0 = -t * v[1] / (1.0 - t)
+            u = u0 + np.spacing(u0) * np.arange(-100, 101)
+            tied = u[(-u / (v[1] - u) == t) & (u + t * (v[1] - u) != 0.0)]
+            if tied.size:
+                break
+        assert tied.size, "no start ties the two crossings"
+        beta[cross[0]], beta[cross[1]] = -c * v[0], tied[0]
+        assert -beta[cross[0]] / (v[0] - beta[cross[0]]) == t
+        ref, got = beta.copy(), beta.copy()
+        _numpy_converge_active(prob, ref, act)
+        _converge_active(prob, got, act)
+        assert got.tobytes() == ref.tobytes()
 
 
 def _seed(prob, mu):
@@ -354,6 +471,22 @@ class TestLassoPath:
         worst = max(np.max(np.abs(a.fit.mu_hat - b.fit.mu_hat)) for a, b in pairs)
         assert worst <= 1e-10 * (1 + np.max(np.abs(y)))
 
+    @pytest.mark.parametrize("y", [
+        # two of the benchmark's lasso series: shape, n, SNR and noise seed
+        pytest.param(_noisy("example1", 500, 1e4, (1, 0, 0)), id="example1-500-1e4"),
+        pytest.param(add_noise(gen_trend(PiecewiseLinearSpec(
+            n=1000, r=tuple(k / 9 for k in range(1, 9)),
+            b=(-20.0, 15.0, -10.0, 25.0, -15.0, 10.0, -25.0, 20.0, -5.0))),
+            NoiseSpec(snr=25.0, seed=(1, 2, 3))).y, id="custom-1000-25"),
+    ])
+    def test_path_bitwise_equal_with_the_numpy_walk(self, monkeypatch, y):
+        grid = default_grid(lambda_max(y))
+        fast = fit_path(y, grid).entries
+        monkeypatch.setattr(lasso, "_converge_active", _numpy_converge_active)
+        slow = fit_path(y, grid).entries
+        assert [e.fit.mu_hat.tobytes() for e in fast] == [e.fit.mu_hat.tobytes() for e in slow]
+        assert [(e.fit.converged, e.kkt) for e in fast] == [(e.fit.converged, e.kkt) for e in slow]
+
     def test_converged_means_certified(self):
         # a level offset of 1e6: entries whose certificate fails are not flagged converged
         y = _BASE + 1e6
@@ -423,6 +556,28 @@ class TestLassoPath:
         y = random_walk(rng, 10)
         with pytest.raises(ValueError):
             fit_path(y, [3.0, 2.0])
+
+
+class TestNonFiniteSeries:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("entry", ["fit_path", "budget_path", "fit"])
+    def test_rejected_before_solving(self, monkeypatch, rng, bad, entry):
+        # a NaN or inf in y used to give NaN fits and RuntimeWarnings, and
+        # budget_path flagged its lam = 0 entry converged
+        y = random_walk(rng, 50)
+        y[20] = bad
+
+        def no_problem(*args):
+            raise AssertionError("built a problem on a non-finite series")
+
+        monkeypatch.setattr(lasso, "LassoProblem", no_problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                if entry == "fit":
+                    fit(y, 1.0)
+                else:
+                    getattr(lasso, entry)(y, [0.0, 0.5, 1.0])
 
 
 class TestLassoProblem:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -619,6 +620,55 @@ class TestSingleFit:
             assert got.converged == want.converged, rel
 
 
+def _tridiag_solve(off, diag, rhs):
+    """Thomas algorithm for a symmetric tridiagonal system; off[k] couples
+    unknowns k and k + 1."""
+    off, diag, rhs = off.tolist(), diag.tolist(), rhs.tolist()
+    G = len(diag)
+    cp, dp = [0.0] * G, [0.0] * G
+    m = diag[0]
+    dp[0] = rhs[0] / m
+    for i in range(1, G):
+        cp[i - 1] = off[i - 1] / m
+        m = diag[i] - off[i - 1] * cp[i - 1]
+        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / m
+    x = dp
+    for i in range(G - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return np.array(x)
+
+
+def _numpy_run_values(a, b, cs_y, cs_ty, h, lam):
+    """The run-value kernel with its run sums, diagonal, off-diagonal and
+    right-hand side built as numpy arrays, then a Thomas solve. The scalar
+    kernel must match it bit for bit. Takes lists or arrays."""
+    a, b, h = np.asarray(a), np.asarray(b), np.asarray(h, dtype=float)
+    cs_y, cs_ty = np.asarray(cs_y), np.asarray(cs_ty)
+    L = (b - a + 1).astype(float)
+    sy = cs_y[b + 1] - cs_y[a]
+    wy = (cs_ty[b + 1] - cs_ty[a] - a * sy) / L
+    diag = (L + 1) * (2 * L + 1) / (6 * L)
+    diag[:-1] += (L[1:] - 1) * (2 * L[1:] - 1) / (6 * L[1:])
+    hl = lam * h / L
+    rhs = wy - hl
+    rhs[:-1] += sy[1:] - wy[1:] + hl[1:]
+    v = _tridiag_solve((L[1:] ** 2 - 1) / (6 * L[1:]), diag, rhs)
+    return (v - np.concatenate(([0.0], v[:-1]))) / L
+
+
+def _run_pattern(rng, G):
+    """A random problem for the kernel: G runs over n >= G points, a series
+    with a random scale and level, its prefix sums as arrays, and boundary
+    subgradient sums h in {-2, ..., 2}."""
+    n = int(rng.integers(G, 4 * G + 40))
+    a = np.sort(np.concatenate(([0], rng.choice(np.arange(1, n), size=G - 1, replace=False))))
+    b = np.concatenate((a[1:], [n])) - 1
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 4) + rng.choice([0.0, 1e6])
+    cs = (np.concatenate([[0.0], np.cumsum(y)]),
+          np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)]))
+    return y, a, b, cs, rng.integers(-2, 3, size=G).astype(float)
+
+
 class TestRunValues:
     def test_knot_form_matches_dense_normal_equations(self, rng):
         # the polish's tridiagonal knot-form solve against the run-value normal
@@ -638,6 +688,58 @@ class TestRunValues:
             cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
             got = _run_values(a, b, cs_y, cs_ty, h, lam)
             assert np.allclose(got, dense, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("G", [2, 3, 7, 20, 100, 800, 1200])
+    def test_bitwise_equal_to_the_numpy_kernel(self, G):
+        # the scalar pass makes the numpy kernel's float operations in its
+        # order, so every output bit agrees, on list or array inputs alike
+        rng = np.random.default_rng(G)
+        for case in range(12):
+            y, a, b, cs, h = _run_pattern(rng, G)
+            lam = float(rng.uniform(0.0, 2.0) * 10.0 ** rng.integers(-2, 4)) if case % 4 else 0.0
+            want = _numpy_run_values(a, b, *cs, h, lam).tobytes()
+            lists = _prefix_sums(y)
+            assert _run_values(a, b, *cs, h, lam).tobytes() == want
+            assert _run_values(a.tolist(), b.tolist(), *lists, h.tolist(), lam).tobytes() == want
+            assert _run_values(a, b, *lists, h, lam).tobytes() == want
+
+    @pytest.mark.parametrize("y", [
+        # two of the benchmark's fixed pathwise series (shape, n, SNR, seed)
+        pytest.param(add_noise(gen_trend(example2(n=500)), NoiseSpec(snr=25.0, seed=1)).y,
+                     id="example2-500-25"),
+        pytest.param(add_noise(gen_trend(PiecewiseLinearSpec(
+            n=500, r=tuple(k / 9 for k in range(1, 9)),
+            b=(-20.0, 15.0, -10.0, 25.0, -15.0, 10.0, -25.0, 20.0, -5.0))),
+            NoiseSpec(snr=400.0, seed=2)).y, id="custom-500-400"),
+    ])
+    def test_path_bitwise_equal_with_the_numpy_kernel(self, monkeypatch, y):
+        grid = default_grid(lambda_max(y))
+        fast = fit_path(y, grid).entries
+        monkeypatch.setattr(pathwise, "_run_values", _numpy_run_values)
+        slow = fit_path(y, grid).entries
+        assert [e.fit.mu_hat.tobytes() for e in fast] == [e.fit.mu_hat.tobytes() for e in slow]
+        assert [(e.fit.converged, e.kkt) for e in fast] == [(e.fit.converged, e.kkt) for e in slow]
+
+
+class TestNonFiniteSeries:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("entry", ["fit_path", "fit"])
+    def test_rejected_before_solving(self, monkeypatch, rng, bad, entry):
+        # a NaN or inf in y used to give NaN fits and RuntimeWarnings
+        y = random_walk(rng, 50)
+        y[20] = bad
+
+        def no_solve(*args):
+            raise AssertionError("solved a non-finite series")
+
+        monkeypatch.setattr(pathwise, "_solve_at", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                if entry == "fit":
+                    fit(y, 1.0)
+                else:
+                    fit_path(y, [0.0, 0.5, 1.0])
 
 
 class TestSolverAgreement:
