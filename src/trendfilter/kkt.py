@@ -103,9 +103,9 @@ def lambda_max(y) -> float:
 
     Equals the sup-norm of the double cumulative sum of the affine-fit
     residual: for lam at or above it the affine fit's subgradient fits in the
-    unit box, below it some coordinate must activate.
+    unit box, below it some coordinate must activate. Rejects a non-finite y.
     """
-    yv = as_array(y)
+    yv = finite_array(y)
     resid = yv - affine_fit(yv)
     g = subgradient_times_lambda(resid)
     return float(np.max(np.abs(g))) if g.size else 0.0

@@ -23,17 +23,18 @@ sets its ``lam`` per level.
 
 ``active_set_polish``, behind ``fit_path`` and ``fit``, alternates an exact
 solve of the sign-restricted subproblem on the nonzero set, the pathwise
-polish's run-value problem with knots at the active columns (one O(k) pass
-of the shared scalar kernel per zero-crossing line search, with the walk on
-Python floats too), with an admission step: one
-``Z'r`` finds the inactive coordinates that violate |z_j'r| <= lam, and only
-those are re-tested, largest violation first, and stepped in, so a round is
-O(n) plus O(n) per candidate (the screen-then-check working set of glmnet and
-the strong rules). A level ends once a round admits nothing, or once its
-restricted solve returns to a beta the level has held, as a pathwise level ends
-on a repeated state. Adjacent Z columns are so collinear that plain cyclic
-descent cannot reach tight tolerances on its own at realistic n, so the polish
-is where production accuracy comes from. mu_hat = Z beta_hat either way.
+polish's run-value problem with knots at the active columns, walked by the
+polish's own ``pathwise._walk`` (one O(k) scalar pass per zero-crossing
+step, every tied crossing closing in the same step), with an admission
+step: one ``Z'r`` finds the inactive coordinates that violate |z_j'r| <=
+lam, and only those are re-tested, largest violation first, and stepped in,
+so a round is O(n) plus O(n) per candidate (the screen-then-check working
+set of glmnet and the strong rules). A level ends once a round admits
+nothing, or once its restricted solve returns to a beta the level has held,
+as a pathwise level ends on a repeated state. Adjacent Z columns are so
+collinear that plain cyclic descent cannot reach tight tolerances on its own
+at realistic n, so the polish is where production accuracy comes from.
+mu_hat = Z beta_hat either way.
 ``fit_path`` carries one beta down the grid and emits its fits through
 ``kkt.certified_path``, which flags a fit converged only when the polish
 converged and its certificate passed.
@@ -41,12 +42,14 @@ converged and its certificate passed.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .core import LambdaPath, PathEntry, TrendFit, as_array, finite_array, validate_grid
 from .design import DesignZ
 from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
-from .pathwise import _prefix_sums, _run_values
+from .pathwise import _prefix_sums, _walk
 
 MAX_ROUNDS = 200  # a level's cap on polish rounds
 SWEEPS_PER_RUNG = 15  # budget_path's sweeps per rung; fewer once one moves under BUDGET_TOL
@@ -135,40 +138,18 @@ def _cd_pass(prob, beta, r):
 
 
 def _converge_active(prob, beta, act):
-    """Exactly solve the sign-restricted problem on the active set, walking
-    zero crossings (each drops a coordinate). It is a run-value problem with
-    runs from 0, 1 and each active column, solved on y less its line, which is
-    added back: beta = (alpha_0, alpha_1, diff(alpha)[1:]) for run values
-    alpha. The walk runs on lists of Python floats and writes beta once, at
-    its end. Mutates beta, zero off the affine pair and nonzero on ``act``."""
-    n, lam, (l0, l1) = prob.n, prob.lam, prob._line.tolist()
-    a = [0, 1, *act.tolist()]
-    cur = beta[a].tolist()
-    dropped = []
-    for _ in range(4 * (len(act) + 4)):
-        signs = [0.0] + [1.0 if v > 0.0 else -1.0 for v in cur[2:]]  # cur is nonzero past the pair
-        h = [s - t for s, t in zip([0.0, *signs], [*signs, 0.0])]
-        alpha = _run_values(a, [j - 1 for j in a[1:]] + [n - 1], *prob._sums, h, lam).tolist()
-        sol = [alpha[0] + l0, alpha[1] + l1] + [v - u for u, v in zip(alpha[1:], alpha[2:])]
-        # the first zero crossing: the least step below 1 at which a
-        # coordinate reaches zero, the lowest column on a tie
-        first, tmin = None, 1.0
-        for i in range(2, len(a)):
-            v, b0 = sol[i], cur[i]
-            if not (v > 0.0 if b0 > 0.0 else v < 0.0):
-                tc = -b0 / (v - b0)
-                if tc < tmin:
-                    first, tmin = i, tc
-        if first is None:
-            cur = sol
-            break
-        cur = [u + tmin * (v - u) for u, v in zip(cur, sol)]
-        cur[first] = 0.0
-        dropped += [j for j, v in zip(a[2:], cur[2:]) if v == 0.0]
-        keep = [0, 1] + [i for i in range(2, len(a)) if cur[i] != 0.0]
-        a, cur = [a[i] for i in keep], [cur[i] for i in keep]
-    beta[a] = cur
-    beta[dropped] = 0.0
+    """Exactly solve the sign-restricted problem on the active set with
+    ``pathwise._walk``, whose crossings drop columns: runs start at 0, 1 and
+    each active column, on y less its line (l_0, l_1), so the run values
+    alpha are beta_0 - l_0, beta_1 - l_1, then running sums of beta on
+    ``act``, and beta = (alpha_0 + l_0, alpha_1 + l_1, diff(alpha)[1:]).
+    Mutates beta, zero off the affine pair and the columns the walk keeps."""
+    (l0, l1), (b0, b1), b = prob._line.tolist(), beta[:2].tolist(), beta[act].tolist()
+    alpha = [b0 - l0, *accumulate(b, initial=b1 - l1)]
+    signs = [0.0] + [1.0 if v > 0.0 else -1.0 for v in b]  # beta is nonzero on act
+    a, alpha, _ = _walk([0, 1, *act.tolist()], alpha, signs, prob._sums, prob.lam, prob.n)
+    beta[act] = 0.0
+    beta[a] = [alpha[0] + l0, alpha[1] + l1] + [v - u for u, v in zip(alpha[1:], alpha[2:])]
 
 
 def _admit(prob, beta, r):

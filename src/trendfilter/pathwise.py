@@ -19,7 +19,8 @@ active-set method in the manner of Hoefling 2010:
   pattern of equal-slope runs (one tridiagonal solve, O(G) for G runs),
   walking sign collisions one solve per collision step, where every boundary
   that closes merges. A split is a cut the polish keeps; a cut whose step
-  goes against its sign closes at step 0.
+  goes against its sign closes at step 0. The walk, ``_walk``, runs on
+  Python floats and is the lasso route's restricted solve too.
 
 The polish is exact, so no round evaluates the objective. A level ends once
 a scan after a finished polish at its lambda cuts nothing, as the state is
@@ -71,10 +72,8 @@ def _run_values(a, b, cs_y, cs_ty, h, lam):
     conditioned, where those in the run values themselves are dense. One
     scalar pass on Python floats reads each run's sums and eliminates its
     row as the next run completes it (the Thomas algorithm, stable here as
-    the matrix is diagonally dominant); a back substitution gives v. The
-    prefix sums may be lists or arrays, and a, b and h lists or arrays."""
-    if isinstance(a, np.ndarray):
-        a, b, h = a.tolist(), b.tolist(), h.tolist()
+    the matrix is diagonally dominant); a back substitution gives v. Takes
+    and returns lists."""
     # with weights w = k / L (k = 1..L) on each run: v_g gathers sum w^2 over
     # run g and sum (1 - w)^2 over run g + 1, and v_g, v_{g+1} share sum w (1 - w)
     Ls, cp, dp = [], [], []
@@ -102,7 +101,7 @@ def _run_values(a, b, cs_y, cs_ty, h, lam):
     dp.append(v)
     for g in range(len(cp) - 1, -1, -1):
         v = dp[g] = dp[g] - cp[g] * v
-    return np.array([(v - u) / L for v, u, L in zip(dp, [0.0, *dp[:-1]], Ls)])
+    return [(v - u) / L for v, u, L in zip(dp, [0.0, *dp[:-1]], Ls)]
 
 
 def _prefix_sums(y):
@@ -134,19 +133,47 @@ def _split_scan(y, nu, r, lam):
     return cuts, np.sign(g[cuts - 2])
 
 
+def _walk(a, alpha, signs, sums, lam, n):
+    """Exact solve of a sign-restricted run pattern: runs start at a (a[0] =
+    0) with values alpha, and the boundary before run g + 1 carries signs[g]
+    (0 if unpenalised). Each step solves the pattern (one ``_run_values``
+    pass) and moves alpha toward it by the least step at which a boundary
+    whose sign the full step would flip reaches zero (0 for one already past
+    it); every boundary closing at that step merges its two runs. Ends on a
+    full step within len(a) + 8 steps. Lists throughout; ``sums`` is
+    ``_prefix_sums`` of the series. Returns (a, alpha, full step)."""
+    cs_y, cs_ty = sums
+    for _ in range(len(a) + 8):
+        h = [s - t for s, t in zip([0.0, *signs], [*signs, 0.0])]
+        sol = _run_values(a, [j - 1 for j in a[1:]] + [n - 1], cs_y, cs_ty, h, lam)
+        d = [v - u for v, u in zip(sol, alpha)]
+        theta, hit = 1.0, []  # hit: (boundary, step) where the full step flips the sign
+        for k, (s, u0, u1, e0, e1) in enumerate(zip(signs, alpha, alpha[1:], d, d[1:])):
+            ddiff = e1 - e0
+            if s * (u1 - u0 + ddiff) < 0 and ddiff != 0.0:
+                tc = max(0.0, (u0 - u1) / ddiff)
+                hit.append((k, tc))
+                if tc < theta:
+                    theta = tc
+        if theta == 1.0:
+            return a, [u + v for u, v in zip(alpha, d)], True
+        alpha = [u + theta * v for u, v in zip(alpha, d)]
+        closed = {k + 1 for k, tc in hit if tc == theta}
+        keep = [g for g in range(len(a)) if g not in closed]
+        signs = [signs[g - 1] for g in keep[1:]]
+        a, alpha = [a[g] for g in keep], [alpha[g] for g in keep]
+    return a, alpha, False
+
+
 def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
     """Exact run-value solve for the current fused pattern, with a boundary
     added at every cut, under frozen boundary signs (a cut's own sign, else
-    the sign of the boundary's slope step); walks sign collisions until a
-    full step fits. Index 1 always starts a run: no cut is made at that
-    unpenalised boundary, so a run fused across it would stay fused. Each
-    step is exact up to its first collision, where every boundary that closes
-    merges at once, so the walk descends; a cut whose step goes against its
-    sign closes at step 0 and is dropped there. The move is taken untested.
-    Returns whether the walk ended on a full step, the exact solve of its
-    pattern. ``sums`` is ``_prefix_sums(y)``, taken once per path; each step
-    of the walk is a few O(G) numpy operations and one scalar O(G) pass of
-    ``_run_values``."""
+    the sign of the boundary's slope step), by ``_walk``. Index 1 always
+    starts a run: no cut is made at that unpenalised boundary, so a run fused
+    across it would stay fused. A cut whose step goes against its sign closes
+    at step 0 and is dropped there. The move is taken untested. Returns
+    whether the walk ended on a full step, the exact solve of its pattern.
+    ``sums`` is ``_prefix_sums(y)``, taken once per path."""
     n = y.size
     start = np.zeros(n, dtype=bool)
     start[_runs_of(nu)] = True
@@ -157,27 +184,10 @@ def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
     # a run starting at a[g] >= 2 has a penalised boundary with the one before it
     signs = np.where(a[1:] >= 2, np.sign(alpha[1:] - alpha[:-1]), 0.0)
     signs[np.searchsorted(a, cuts) - 1] = cut_signs
-    cs_y, cs_ty = sums
-    for _ in range(a.size + 8):
-        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-        b = np.concatenate((a[1:], [n])) - 1
-        d = _run_values(a, b, cs_y, cs_ty, h, lam) - alpha
-        # the boundaries whose sign the full step would flip, each at step
-        # tc < 1; one already at or past zero that moves on closes at 0
-        diff0 = alpha[1:] - alpha[:-1]
-        ddiff = d[1:] - d[:-1]
-        hit = np.flatnonzero((ddiff != 0.0) & (signs * (diff0 + ddiff) < 0))
-        tc = np.maximum(-diff0[hit] / ddiff[hit], 0.0)
-        theta = tc.min(initial=1.0)  # 1 is the full step
-        alpha = alpha + theta * d
-        if theta == 1.0:
-            break
-        keep = np.ones(a.size, dtype=bool)
-        keep[hit[tc == theta] + 1] = False
-        a, alpha, signs = a[keep], alpha[keep], signs[keep[1:]]
-    nu[:] = np.repeat(alpha, np.concatenate((a[1:], [n])) - a)
+    a, alpha, full = _walk(a.tolist(), alpha.tolist(), signs.tolist(), sums, lam, n)
+    nu[:] = np.repeat(alpha, np.diff(a, append=n))
     r[:] = y - np.cumsum(nu)
-    return bool(theta == 1.0)
+    return full
 
 
 def _solve_at(y, nu, r, lam, sums, max_rounds):

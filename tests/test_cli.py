@@ -377,6 +377,9 @@ class TestNonFiniteLambda:
         pytest.param(["fit", "--solver", "lasso", "--lambda", "nan"], id="fit-lasso-lambda-nan"),
         pytest.param(["path", "--grid-min-rel", "nan"], id="path-grid-min-rel-nan"),
         pytest.param(["select", "--grid-min-rel", "nan"], id="select-grid-min-rel-nan"),
+        # outside (0, 1]: 0 and -1 crashed with a traceback, 2 blamed the grid's order
+        *(pytest.param([cmd, "--grid-min-rel", v], id=f"{cmd}-grid-min-rel-{v}")
+          for cmd in ("path", "select") for v in ("0", "-1", "2")),
         pytest.param(["check", "--lambda", "nan"], id="check-lambda-nan"),
         pytest.param(["check", "--lambda", "inf"], id="check-lambda-inf"),
     ])

@@ -74,6 +74,14 @@ class TestLambdaMax:
         assert check_kkt(y, af, lmax * (1 + 1e-8), tol=1e-9).passed
         assert not check_kkt(y, af, lmax * (1 - 1e-3), tol=1e-9).passed
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_series_rejected(self, rng, bad):
+        # it used to return NaN, which default_grid turned into a NaN grid
+        y = random_walk(rng, 50)
+        y[20] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lambda_max(y)
+
 
 class TestCheckKkt:
     def test_affine_fit_passes_beyond_lambda_max(self, rng):

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from trendfilter.lasso import (LassoProblem, _admit, _block_ls_step, _cd_pass, _
 from trendfilter.selection import default_grid, select
 from trendfilter.simulate import PRESETS, NoiseSpec, PiecewiseLinearSpec, add_noise, gen_trend
 from tests.conftest import random_walk
-from tests.test_pathwise import _numpy_run_values
+from tests.test_pathwise import _numpy_walk
 
 
 def _noisy(shape, n, snr, seed):
@@ -272,29 +274,17 @@ def _dense_converge_active(prob, beta, act):
 
 
 def _numpy_converge_active(prob, beta, act):
-    """The zero-crossing walk on numpy arrays, with the numpy run-value
-    kernel: signs, the restricted solve, the crossings and the partial step
-    are array operations, and beta is written at every step. The scalar walk
+    """The restricted solve on numpy arrays, with the numpy walk: beta on
+    [0, 1, *act] as centred run values (np.cumsum is a running sum), the
+    walk, and beta written back from the run values. ``_converge_active``
     must match it bit for bit."""
     a = np.concatenate(([0, 1], act)).astype(np.intp)
-    for _ in range(4 * (len(act) + 4)):
-        b0 = beta[a[2:]]
-        signs = np.concatenate(([0.0], np.sign(b0)))
-        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-        alpha = _numpy_run_values(a, np.concatenate((a[1:], [prob.n])) - 1, *prob._sums, h,
-                                  prob.lam)
-        sol = np.concatenate((alpha[:2] + prob._line, alpha[2:] - alpha[1:-1]))
-        cross = np.flatnonzero(np.sign(sol[2:]) != signs[1:])
-        tc = -b0[cross] / (sol[2:][cross] - b0[cross])  # step at which each one reaches zero
-        if not tc.size or tc.min() >= 1.0:
-            beta[a] = sol
-            return
-        k = int(np.argmin(tc))  # the first crossing; ties go to the lowest column
-        beta[a] += tc[k] * (sol - beta[a])
-        beta[a[2 + cross[k]]] = 0.0
-        keep = beta[a] != 0.0
-        keep[:2] = True
-        a = a[keep]
+    alpha = np.concatenate(([beta[0] - prob._line[0]],
+                            np.cumsum(np.concatenate(([beta[1] - prob._line[1]], beta[act])))))
+    signs = np.concatenate(([0.0], np.sign(beta[act])))
+    a, alpha, _ = _numpy_walk(a, alpha, signs, prob._sums, prob.lam, prob.n)
+    beta[act] = 0.0
+    beta[a] = np.concatenate((alpha[:2] + prob._line, np.diff(alpha)[1:]))
 
 
 def _walk_case(rng, k):
@@ -355,37 +345,36 @@ class TestConvergeActive:
             crossed += np.count_nonzero(ref[2:]) < act.size
         assert k < 10 or crossed >= 2
 
-    def test_a_tie_goes_to_the_lowest_column(self):
-        # the two lowest crossing columns reach zero at the same step t, and
-        # the higher one lands off zero there: it survives the step only if
-        # the walk zeroes the lowest one, as ties go to the lowest column.
-        # The other crossings come later, at step 0.5
-        rng = np.random.default_rng(5)
-        prob, beta, act = _walk_case(rng, 40)
-        a = np.concatenate(([0, 1], act))
-        signs = np.concatenate(([0.0], np.sign(beta[act])))
-        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-        alpha = _numpy_run_values(a, np.concatenate((a[1:], [prob.n])) - 1, *prob._sums, h,
-                                  prob.lam)
-        sol = np.diff(alpha)[1:]  # the restricted solution at these signs, past the pair
-        hit = np.sign(sol) != signs[1:]
-        cross, v = act[hit], sol[hit]
-        assert cross.size >= 3
-        beta[cross] = -v
-        for c in np.linspace(0.2, 0.45, 4000):  # exact ties that land off zero are rare
-            t = -(-c * v[0]) / (v[0] + c * v[0])
-            u0 = -t * v[1] / (1.0 - t)
-            u = u0 + np.spacing(u0) * np.arange(-100, 101)
-            tied = u[(-u / (v[1] - u) == t) & (u + t * (v[1] - u) != 0.0)]
-            if tied.size:
-                break
-        assert tied.size, "no start ties the two crossings"
-        beta[cross[0]], beta[cross[1]] = -c * v[0], tied[0]
-        assert -beta[cross[0]] / (v[0] - beta[cross[0]]) == t
-        ref, got = beta.copy(), beta.copy()
-        _numpy_converge_active(prob, ref, act)
-        _converge_active(prob, got, act)
-        assert got.tobytes() == ref.tobytes()
+    def test_tied_columns_close_in_one_step(self, monkeypatch):
+        # a stub kernel gives the run values of each pattern. The full step
+        # flips the columns 10 and 20, both at the step 1/3, and round-off
+        # leaves column 20's gap off zero there: both close in that one step,
+        # and the next solve, without them, is a full step. Columns 5 and 15
+        # keep their signs
+        prob = LassoProblem(random_walk(np.random.default_rng(5), 30), 1.0)
+        act = np.array([5, 10, 15, 20])
+        beta = np.zeros(prob.n)
+        beta[:2] = prob._line  # run values 0 for the affine pair, so the sums are exact
+        beta[act] = [1.0, 1.0, 1.0, 0.3]
+        c = 2.0 - 2.0 * ((3.0 + 0.3) - 3.0)  # column 20's step: about -2 times its gap
+        target = {0: 0.0, 1: 0.0, 5: 1.0, 10: -1.0, 15: 2.0, 20: c}
+        # the walk's crossing steps of columns 10 and 20 tie, and 20 lands off zero
+        alpha = dict(zip(act.tolist(), accumulate(beta[act].tolist())))
+        d = {j: target[j] - v for j, v in alpha.items()}
+        tc = [max(0.0, -(alpha[j] - alpha[i]) / (d[j] - d[i])) for i, j in ((5, 10), (15, 20))]
+        assert tc[0] == tc[1] == max(0.0, -1.0 / -3.0)
+        assert (alpha[20] + tc[1] * d[20]) - (alpha[15] + tc[1] * d[15]) != 0.0
+        calls = []
+
+        def run_values(a, b, cs_y, cs_ty, h, lam):
+            calls.append(list(a))
+            return [target[j] for j in a]
+
+        monkeypatch.setattr(pathwise, "_run_values", run_values)
+        _converge_active(prob, beta, act)
+        assert calls == [[0, 1, 5, 10, 15, 20], [0, 1, 5, 15]]
+        assert np.flatnonzero(beta[2:]).tolist() == [3, 13]
+        assert beta[5] == 1.0 and abs(beta[15] - 1.0) <= 1e-15
 
 
 def _seed(prob, mu):

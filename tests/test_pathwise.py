@@ -16,6 +16,7 @@ from trendfilter.pathwise import (
     _solve_at,
     _split_scan,
     _structure_polish,
+    _walk,
 )
 from trendfilter.selection import default_grid
 from trendfilter.simulate import (
@@ -169,8 +170,8 @@ def _same_bits(x, z):
 
 
 class TestReferenceEquivalence:
-    """The band split scan and the numpy collision walk against their loop
-    forms, bit for bit."""
+    """The band split scan and the structure polish against their loop forms,
+    bit for bit."""
 
     def test_split_scan_matches_reference(self, rng):
         # random run patterns whose violations form bands that cross runs,
@@ -243,8 +244,8 @@ class TestReferenceEquivalence:
         calls = []
 
         def run_values(a, b, cs_y, cs_ty, h, lam):
-            calls.append((a.tolist(), b.tolist(), h.tolist()))
-            return target[a]
+            calls.append((list(a), list(b), list(h)))
+            return target[a].tolist()
 
         monkeypatch.setattr(pathwise, "_run_values", run_values)
         state = FusedState(y=y, nu=nu.copy())
@@ -686,22 +687,21 @@ class TestRunValues:
             dense = np.linalg.solve(W.T @ W, W.T @ y - lam * h)
             cs_y = np.concatenate([[0.0], np.cumsum(y)])
             cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
-            got = _run_values(a, b, cs_y, cs_ty, h, lam)
+            got = _run_values(a.tolist(), b.tolist(), cs_y.tolist(), cs_ty.tolist(), h.tolist(),
+                              lam)
             assert np.allclose(got, dense, rtol=1e-8, atol=1e-8)
 
     @pytest.mark.parametrize("G", [2, 3, 7, 20, 100, 800, 1200])
     def test_bitwise_equal_to_the_numpy_kernel(self, G):
         # the scalar pass makes the numpy kernel's float operations in its
-        # order, so every output bit agrees, on list or array inputs alike
+        # order, so every output bit agrees
         rng = np.random.default_rng(G)
         for case in range(12):
             y, a, b, cs, h = _run_pattern(rng, G)
             lam = float(rng.uniform(0.0, 2.0) * 10.0 ** rng.integers(-2, 4)) if case % 4 else 0.0
             want = _numpy_run_values(a, b, *cs, h, lam).tobytes()
-            lists = _prefix_sums(y)
-            assert _run_values(a, b, *cs, h, lam).tobytes() == want
-            assert _run_values(a.tolist(), b.tolist(), *lists, h.tolist(), lam).tobytes() == want
-            assert _run_values(a, b, *lists, h, lam).tobytes() == want
+            got = _run_values(a.tolist(), b.tolist(), *_prefix_sums(y), h.tolist(), lam)
+            assert type(got) is list and np.array(got).tobytes() == want
 
     @pytest.mark.parametrize("y", [
         # two of the benchmark's fixed pathwise series (shape, n, SNR, seed)
@@ -719,6 +719,100 @@ class TestRunValues:
         slow = fit_path(y, grid).entries
         assert [e.fit.mu_hat.tobytes() for e in fast] == [e.fit.mu_hat.tobytes() for e in slow]
         assert [(e.fit.converged, e.kkt) for e in fast] == [(e.fit.converged, e.kkt) for e in slow]
+
+
+def _numpy_walk(a, alpha, signs, sums, lam, n):
+    """The collision walk on numpy arrays, as the structure polish ran it
+    before the walk was shared with the lasso route: the crossings, the
+    partial step and the merges are array operations. ``_walk`` must match it
+    bit for bit. Calls ``pathwise._run_values``, so a stub of the kernel
+    serves both."""
+    a, alpha, signs = np.asarray(a), np.asarray(alpha, dtype=float), np.asarray(signs, dtype=float)
+    for _ in range(a.size + 8):
+        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
+        b = np.concatenate((a[1:], [n])) - 1
+        d = np.asarray(pathwise._run_values(a.tolist(), b.tolist(), *sums, h.tolist(), lam)) - alpha
+        diff0 = alpha[1:] - alpha[:-1]
+        ddiff = d[1:] - d[:-1]
+        hit = np.flatnonzero((ddiff != 0.0) & (signs * (diff0 + ddiff) < 0))
+        tc = np.maximum(-diff0[hit] / ddiff[hit], 0.0)
+        theta = tc.min(initial=1.0)
+        alpha = alpha + theta * d
+        if theta == 1.0:
+            break
+        keep = np.ones(a.size, dtype=bool)
+        keep[hit[tc == theta] + 1] = False
+        a, alpha, signs = a[keep], alpha[keep], signs[keep[1:]]
+    return a, alpha, bool(theta == 1.0)
+
+
+def _walk_pattern(rng, G):
+    """A random walk problem: the runs of ``_run_pattern``, boundary signs
+    with the first boundary unpenalised on half the draws, and a start near
+    the exact solve at those signs, each boundary carrying the sign of its
+    own step, so the full step flips some of them."""
+    y, a, b, _, _ = _run_pattern(rng, G)
+    sums = _prefix_sums(y)
+    lam = float(rng.uniform(0.0, 2.0) * 10.0 ** rng.integers(-2, 4))
+    signs = rng.choice([-1.0, 1.0], G - 1)
+    signs[0] *= rng.integers(0, 2)
+    h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
+    sol = np.array(_run_values(a.tolist(), b.tolist(), *sums, h.tolist(), lam))
+    alpha = sol + rng.normal(size=G) * np.std(sol) * 10.0 ** rng.uniform(-4, -1)
+    steps = np.sign(np.diff(alpha))
+    signs = np.where((signs == 0.0) | (steps == 0.0), signs, steps)
+    return a.tolist(), alpha.tolist(), signs.tolist(), sums, lam, y.size
+
+
+class TestWalk:
+    """The sign-restricted walk both routes share, against the numpy walk."""
+
+    @staticmethod
+    def _same(got, want):
+        return (list(got[0]) == want[0].tolist() and np.array(got[1]).tobytes() == want[1].tobytes()
+                and got[2] is want[2])
+
+    @pytest.mark.parametrize("G", [2, 3, 7, 20, 100, 800, 1200])
+    def test_bitwise_equal_to_the_numpy_walk(self, G):
+        rng = np.random.default_rng(G)
+        merged = 0
+        for case in range(12 if G < 800 else 3):
+            args = _walk_pattern(rng, G)
+            got, want = _walk(*args), _numpy_walk(*args)
+            assert self._same(got, want), case
+            assert got[2] and type(got[1]) is list
+            merged += len(got[0]) < G
+        assert G < 7 or merged >= 2
+
+    @pytest.mark.parametrize("G", [2, 7, 100, 1200])
+    def test_tied_crossings_bitwise_equal(self, monkeypatch, G):
+        # a stub kernel with small-integer run values: the crossing steps are
+        # ratios of small integers, so many tie exactly, and every boundary
+        # closing at a step's theta merges in that step
+        rng = np.random.default_rng(G)
+        sizes = []
+
+        def run_values(a, b, cs_y, cs_ty, h, lam):
+            sizes.append(len(a))
+            return target[a].tolist()
+
+        monkeypatch.setattr(pathwise, "_run_values", run_values)
+        tied = 0
+        for case in range(12 if G < 1200 else 3):
+            n = G + int(rng.integers(0, 2 * G + 2))
+            a = np.sort(np.concatenate(([0], rng.choice(np.arange(1, n), G - 1, replace=False))))
+            target = rng.integers(-4, 5, size=n).astype(float)
+            alpha = rng.integers(-4, 5, size=G).astype(float)
+            signs = np.sign(np.diff(alpha))
+            signs[signs == 0.0] = rng.choice([-1.0, 1.0], np.count_nonzero(signs == 0.0))
+            signs[:1] *= rng.integers(0, 2)
+            args = (a.tolist(), alpha.tolist(), signs.tolist(), ([0.0], [0.0]), 1.0, n)
+            sizes.clear()
+            got = _walk(*args)
+            walk, sizes[:] = list(sizes), []
+            assert self._same(got, _numpy_walk(*args)) and walk == sizes, case
+            tied += any(q - p >= 2 for q, p in zip(walk, walk[1:]))
+        assert G < 7 or tied >= 1
 
 
 class TestNonFiniteSeries:

@@ -154,3 +154,19 @@ class TestDefaultGrid:
 
     def test_zero_lambda_max(self):
         assert default_grid(0.0) == [0.0]
+
+    @pytest.mark.parametrize("kwargs", [
+        # min_rel 0 and -1 used to fail with ZeroDivisionError and TypeError, a
+        # lam_max of NaN or inf to give a grid of NaNs, and size 0 at lam_max 0
+        # to pass
+        pytest.param({"min_rel": 0.0}, id="min-rel-0"),
+        pytest.param({"min_rel": -1.0}, id="min-rel-neg"),
+        pytest.param({"min_rel": 2.0}, id="min-rel-2"),
+        pytest.param({"min_rel": math.nan}, id="min-rel-nan"),
+        pytest.param({"lam_max": math.nan}, id="lam-max-nan"),
+        pytest.param({"lam_max": math.inf}, id="lam-max-inf"),
+        pytest.param({"lam_max": 0.0, "size": 0}, id="size-0-at-lam-max-0"),
+    ])
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            default_grid(**{"lam_max": 100.0, **kwargs})
