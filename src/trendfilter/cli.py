@@ -14,7 +14,6 @@ environment variable; --output paths override it.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -234,34 +233,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_fit_mu(path) -> np.ndarray:
-    """mu_hat column of a fit CSV (first section only)."""
-    mu = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                if header is not None:
-                    break  # end of the fit section
-                continue
-            if row[0].startswith("#"):
-                continue
-            if header is None:
-                header = row
-                if "mu_hat" not in header:
-                    raise CliError(f"{path}: not a fit CSV (no mu_hat column)")
-                col = header.index("mu_hat")
-                continue
-            mu.append(float(row[col]))
-    if not mu:
-        raise CliError(f"{path}: no fit rows")
-    return np.array(mu)
-
-
 def cmd_check(args) -> int:
     y = io.read_series(args.input)
-    mu = _read_fit_mu(args.fit)
+    mu = io.read_fit_mu(args.fit)
     if mu.size != y.n:
         raise CliError(f"fit length {mu.size} does not match series length {y.n}")
     if not 0 < args.lam < math.inf:
@@ -386,7 +360,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (FileNotFoundError, ValueError) as e:  # io.SeriesParseError included
+    except (FileNotFoundError, ValueError) as e:  # io.CsvParseError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -78,13 +78,18 @@ def select(path: LambdaPath, y, criterion: str = "mc",
     return best.lam, best.fit, scores
 
 
-def default_grid(lam_max: float, size: int = 60, min_rel: float = 1e-4) -> list[float]:
-    """0, then a log-spaced grid from lam_max * min_rel to lam_max ([0.0] for
-    lam_max <= 0). Needs size >= 1, 0 < min_rel <= 1 and a finite lam_max."""
+def check_grid(size: int, min_rel: float) -> None:
+    """Raise ValueError, naming the parameter, unless size >= 1 and 0 < min_rel <= 1."""
     if size < 1:
         raise ValueError("size must be >= 1")
     if not 0 < min_rel <= 1:
         raise ValueError("min_rel must be finite and in (0, 1]")
+
+
+def default_grid(lam_max: float, size: int = 60, min_rel: float = 1e-4) -> list[float]:
+    """0, then a log-spaced grid from lam_max * min_rel to lam_max ([0.0] for
+    lam_max <= 0). Needs check_grid(size, min_rel) to pass and a finite lam_max."""
+    check_grid(size, min_rel)
     if not math.isfinite(lam_max):
         raise ValueError("lam_max must be finite")
     if lam_max <= 0:

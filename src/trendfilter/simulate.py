@@ -21,7 +21,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from . import lasso, pathwise
 from .core import KINK_TOL, KinkSet, TimeSeries, TrendFit, extract_kinks, kink_mask
 from .kkt import lambda_max
-from .selection import default_grid, select
+from .selection import check_grid, default_grid, select
 
 RNG_IDENTITY = "numpy PCG64, SeedSequence((base_seed, replication))"
 
@@ -236,8 +235,7 @@ class ExperimentConfig:
             raise ValueError("criterion must be 'sic' or 'mc'")
         if self.solver not in ("pathwise", "lasso"):
             raise ValueError("solver must be 'pathwise' or 'lasso'")
-        if self.grid_size < 1 or not 0 < self.grid_min_rel <= 1:
-            raise ValueError("bad grid parameters")
+        check_grid(self.grid_size, self.grid_min_rel)
         if not 0 <= self.tol_kink < math.inf:
             raise ValueError("tol_kink must be finite and >= 0")
 
@@ -341,6 +339,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     replications are seeded individually and aggregated in replication order."""
     reps = list(range(config.replications))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, [(config, r) for r in reps]))
     else:

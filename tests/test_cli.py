@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +169,23 @@ class TestFit:
         assert "line 3" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["fit", "path", "select", "check"])
+    def test_oversized_field_exits_2(self, tmp_path, noisy_line, command, capsys):
+        # a cell over the csv module's field size limit raised _csv.Error: a
+        # traceback and exit 1
+        good, y = noisy_line
+        p = tmp_path / "big.csv"
+        p.write_text("value\n1.0\n\"" + "1" * 200_000 + "\"\n" + good.read_text())
+        argv = [command, "--input", str(p), "--output", str(tmp_path / "out.csv")]
+        if command in ("fit", "check"):
+            argv += ["--lambda", "1"]
+        if command == "check":
+            argv += ["--fit", str(good)]
+        assert main(argv) == 2
+        assert f"{p}: line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestPathAndSelect:
     def test_noiseless_tent_recovers_kink(self, tmp_path, tent_series):
         p, y, spec = tent_series
@@ -322,7 +343,72 @@ class TestSimulate:
         assert "replications" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value, name", [("--grid-min-rel", "0", "min_rel"),
+                                                   ("--grid-size", "0", "size")])
+    def test_bad_grid_names_its_parameter(self, tmp_path, flag, value, name, capsys):
+        # both were answered with "bad grid parameters"
+        assert main(["simulate", "--preset", "example1", "--n", "50", "--reps", "1", flag, value,
+                     "--output", str(tmp_path / "x.csv")]) == 2
+        assert f"{name} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_importing_the_cli_leaves_the_process_pool_unloaded(self):
+        code = ("import sys, trendfilter.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestCheck:
+    @staticmethod
+    def _fit_csv(tmp_path, noisy_line):
+        p, y = noisy_line
+        lam = repr(0.2 * lambda_max(y))
+        fit_out = tmp_path / "fit.csv"
+        main(["fit", "--input", str(p), "--lambda", lam, "--output", str(fit_out)])
+        return p, lam, fit_out, fit_out.read_text().split("\n")
+
+    def _rejected(self, tmp_path, p, lam, fit_csv, capsys):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert main(["check", "--input", str(p), "--fit", str(fit_csv), "--lambda", lam,
+                     "--output", str(outdir / "kkt.csv")]) == 2
+        assert list(outdir.iterdir()) == []
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "oops"])
+    def test_bad_mu_cell_rejected_before_output(self, tmp_path, noisy_line, cell, capsys):
+        # nan and inf were certified into a kkt.csv of NaN (exit 4); a word
+        # exited 2 naming neither the file nor the line
+        p, lam, fit_out, lines = self._fit_csv(tmp_path, noisy_line)
+        header = lines[2].split(",")
+        row = lines[12].split(",")
+        row[header.index("mu_hat")] = cell
+        lines[12] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        err = self._rejected(tmp_path, p, lam, bad, capsys)
+        assert f"{bad}: line 13" in err and cell in err
+
+    def test_short_row_rejected_before_output(self, tmp_path, noisy_line, capsys):
+        # a row without its mu_hat cell raised IndexError: a traceback, exit 1
+        p, lam, fit_out, lines = self._fit_csv(tmp_path, noisy_line)
+        lines[7] = "5,1.0"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        err = self._rejected(tmp_path, p, lam, bad, capsys)
+        assert f"{bad}: line 8" in err
+
+    def test_oversized_field_in_the_fit_exits_2(self, tmp_path, noisy_line, capsys):
+        # a cell over the csv module's field size limit raised _csv.Error
+        p, lam, fit_out, lines = self._fit_csv(tmp_path, noisy_line)
+        lines[5] = '"' + "1" * 200_000 + '",1,1,1,1'
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        err = self._rejected(tmp_path, p, lam, bad, capsys)
+        assert f"{bad}: line 6" in err
+
     def test_certified_fit_passes(self, tmp_path, noisy_line):
         p, y = noisy_line
         fit_out = tmp_path / "fit.csv"
