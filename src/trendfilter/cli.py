@@ -360,7 +360,8 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (FileNotFoundError, ValueError) as e:  # io.CsvParseError included
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as e:
+        # the OSErrors name the path; io.CsvParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

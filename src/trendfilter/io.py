@@ -13,9 +13,9 @@ span lines).
 Series input (``read_series``): blank rows, and rows whose first non-blank
 cell starts with ``#``, are skipped; the first other row is a header when its
 value is not a number; a row has 1 or 2 non-blank cells, of which the last is
-the value. Fit input (``read_fit_mu``): the ``mu_hat`` column of a fit CSV's
-first section, which ends at its first blank row; ``#`` rows are skipped and
-every cell must be a finite number.
+the value, and every value is finite. Fit input (``read_fit_mu``): the
+``mu_hat`` column of a fit CSV's first section, which ends at its first blank
+row; ``#`` rows are skipped and every cell must be a finite number.
 
 All output is RFC-4180-style CSV, UTF-8, decimal point, preceded by
 ``#``-prefixed metadata lines (tool version and argument echo) so every
@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .core import KinkSet, TimeSeries, TrendFit
+from .design import InvalidDimensionError
 from .selection import SelectionScore
 from .simulate import RNG_IDENTITY, ExperimentResult, noise_label
 
@@ -140,7 +141,14 @@ def read_series(path) -> TimeSeries:
         raise CsvParseError(f"expected 1 or 2 columns, got {wide[1]}", wide[0], path)
     if not y.size:
         raise CsvParseError("no numeric rows found", 1, path)
-    return TimeSeries(y)
+    try:
+        return TimeSeries(y)
+    except InvalidDimensionError:
+        raise
+    except ValueError:  # a non-finite value: name its line, as read_fit_mu does
+        k = skip + int(np.argmin(np.isfinite(y)))
+        raise CsvParseError(f"value must be finite, got {values[k]!r}",
+                            lines[k] if lines else k + 1, path) from None
 
 
 def read_fit_mu(path) -> np.ndarray:

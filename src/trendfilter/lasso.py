@@ -12,12 +12,13 @@ cumulative sums.
 
 ``_cd_pass`` is one sweep of plain cyclic coordinate descent: the
 unpenalized pair (1, 2) by an exact least-squares step, each penalized
-coordinate by soft-thresholding at lam / ||z_j||^2. A sweep is O(n): one
-``Z'r``, one scalar loop that carries only the closed-form update of each
-coordinate's inner product from the moves before it, then, in numpy, the
-moves d = beta_new - beta_old, their largest relative size and one ``Z d``
-that applies them all (the pathwise coordinate descent of Friedman, Hastie,
-Hoefling & Tibshirani 2007). ``budget_path`` runs a fixed budget of these
+coordinate by soft-thresholding at lam / ||z_j||^2 (the pathwise coordinate
+descent of Friedman, Hastie, Hoefling & Tibshirani 2007). A sweep is O(n):
+the 2x2 solve of the pair, one ``Z'r``, one scalar loop on Python floats that
+carries only the closed-form update of each coordinate's inner product from
+the moves before it, then a fixed handful of numpy calls: the moves
+d = beta_new - beta_old, one double prefix sum of d that applies them to r,
+and their largest relative size. ``budget_path`` runs a fixed budget of these
 sweeps for the smearing they leave. A path builds one ``LassoProblem`` and
 sets its ``lam`` per level.
 
@@ -61,7 +62,8 @@ class LassoProblem:
     every level rereads: y's least-squares line (level, slope) and the prefix
     sums of y less it, the column norms, the Gram block of the unpenalized
     pair, the ramp 0, 1, ..., n-1, and the lists over j >= 2 that the sweep
-    loop zips over, S2(n - j) = ||z_j||^2 and the ramp sums S1(n - j)."""
+    loop zips over: the positions j as floats, S2(n - j) = ||z_j||^2 and the
+    ramp sums S1(n - j)."""
 
     def __init__(self, y, lam: float):
         yv = as_array(y)
@@ -77,6 +79,7 @@ class LassoProblem:
         self._G2 = self.Z.gram([0, 1])
         self._t = np.arange(yv.size, dtype=float)
         L = yv.size - self._t[2:]  # n - j: the length of column j's ramp
+        self._pos = self._t[2:].tolist()
         self._s2 = self._norms[2:].tolist()
         self._s1 = (L * (L + 1) / 2.0).tolist()
 
@@ -86,42 +89,52 @@ class LassoProblem:
 
 
 def _block_ls_step(prob, beta, r):
-    """Exact least-squares update of the unpenalized pair (columns 1-2)."""
+    """Exact least-squares update of the unpenalized pair (columns 1-2): the
+    2x2 normal equations in numpy, the move and its relative size on two
+    Python floats. Returns that size, 0.0 when the pair does not move."""
     t, G2 = prob._t, prob._G2
     rhs = np.array([r.sum(), t @ r]) + G2 @ beta[:2]
     sol = np.linalg.solve(G2, rhs)
-    d = sol - beta[:2]
-    if np.any(d != 0.0):
-        r -= d[0] + d[1] * t
-        beta[:2] = sol
-        return float(np.max(np.abs(d) / (1.0 + np.abs(sol))))
-    return 0.0
+    (s0, s1), (b0, b1) = sol.tolist(), beta[:2].tolist()
+    d0, d1 = s0 - b0, s1 - b1
+    if d0 == 0.0 and d1 == 0.0:
+        return 0.0
+    r -= d0 + d1 * t
+    beta[0], beta[1] = s0, s1
+    return max(abs(d0) / (1.0 + abs(s0)), abs(d1) / (1.0 + abs(s1)))
 
 
 def _cd_pass(prob, beta, r):
     """One cyclic sweep: block step on (1,2), then soft-thresholding on 3..n in
-    order, in O(n). g = Z'r is taken once, after the block step. By the turn of
-    coordinate j the columns i < j have moved by d_i, and z_j'z_i = S2(L) +
-    (j - i) S1(L) with L = n - j, so
+    order, in O(n). g = Z'r is taken once, after the block step, as suffix
+    sums of suffix sums of r. By the turn of coordinate j the columns i < j
+    have moved by d_i, and z_j'z_i = S2(L) + (j - i) S1(L) with L = n - j, so
 
         z_j'r = g_j - S2(L) D0 - S1(L) (j D0 - D1),  D0 = sum d_i, D1 = sum i d_i,
 
     where S1 and S2 are the sums of 1..L and of their squares (S2(L) is
-    ||z_j||^2). The scalar loop carries only this recurrence; after it, the
-    moves d = beta_new - beta_old and their largest relative size are taken
-    in numpy, and one matvec applies every move to r. Returns the max
-    relative change."""
+    ||z_j||^2). The scalar loop carries only this recurrence, on Python
+    floats: j is read as a float from ``prob._pos`` for the products (the
+    same bits as the int) and as an int only to index. After it, a fixed
+    handful of numpy calls take the moves d = beta_new - beta_old, apply them
+    to r and take their largest relative size. The block step has already
+    moved the affine pair, so d is zero there and r needs only the double
+    prefix sum of d[2:]. That gives the bits of r - Z d: a coordinate that
+    does not move keeps its value, so its d is x - x = +0.0, and sums of
+    terms none of which is -0.0 are never -0.0. Returns the max relative
+    change."""
     lam, n = prob.lam, prob.n
     maxrel = _block_ls_step(prob, beta, r)
-    g = prob.Z.rmatvec(r).tolist()
+    g = np.cumsum(np.cumsum(r[::-1]))[::-1].tolist()  # g[j] = z_j'r for j >= 1
     b = beta.tolist()
+    nlam = -lam
     D0 = D1 = 0.0
-    for j, s2, s1 in zip(range(2, n), prob._s2, prob._s1):
+    for j, x, s2, s1 in zip(range(2, n), prob._pos, prob._s2, prob._s1):
         bj = b[j]
-        rho = g[j] - s2 * D0 - s1 * (j * D0 - D1) + s2 * bj
+        rho = g[j] - s2 * D0 - s1 * (x * D0 - D1) + s2 * bj
         if rho > lam:
             bnew = (rho - lam) / s2
-        elif rho < -lam:
+        elif rho < nlam:
             bnew = (rho + lam) / s2
         else:
             bnew = 0.0
@@ -129,11 +142,11 @@ def _cd_pass(prob, beta, r):
         if dj != 0.0:
             b[j] = bnew
             D0 += dj
-            D1 += dj * j
-    new = np.array(b)
-    d = new - beta  # zero on the affine pair, whose move the block step has made
+            D1 += dj * x
+    new = np.fromiter(b, float, n)
+    d = new - beta
     beta[:] = new
-    r -= prob.Z.matvec(d)
+    r[2:] -= np.cumsum(np.cumsum(d[2:]))
     return float(np.max(np.abs(d) / (1.0 + np.abs(new)), initial=maxrel))
 
 

@@ -103,6 +103,12 @@ def gen_trend(spec: PiecewiseLinearSpec) -> np.ndarray:
     return mu
 
 
+def check_snr(snr: float) -> None:
+    """A signal-to-noise ratio is positive, or math.inf; NaN is neither."""
+    if not snr > 0:
+        raise ValueError("snr must be positive (use math.inf for noiseless)")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian white noise pinned to a signal-to-noise ratio.
@@ -117,8 +123,7 @@ class NoiseSpec:
     convention: str = "abs_mean"
 
     def __post_init__(self):
-        if self.snr <= 0:
-            raise ValueError("snr must be positive (use math.inf for noiseless)")
+        check_snr(self.snr)
         if self.convention not in ("abs_mean", "signed_mean"):
             raise ValueError("convention must be 'abs_mean' or 'signed_mean'")
 
@@ -229,6 +234,7 @@ class ExperimentConfig:
     snr_convention: str = "abs_mean"
 
     def __post_init__(self):
+        check_snr(self.snr)  # before any replication draws its noise
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.criterion.lower() not in ("sic", "mc"):
@@ -337,6 +343,8 @@ def _worker(args) -> MetricsRow:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """All replications, aggregated. Output is independent of ``workers``:
     replications are seeded individually and aggregated in replication order."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     reps = list(range(config.replications))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from trendfilter import simulate
 from trendfilter.cli import main
 from trendfilter.io import read_series
 from trendfilter.kkt import affine_fit, check_kkt, lambda_max
@@ -185,6 +186,43 @@ class TestFit:
         assert f"{p}: line 3" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "path", "select", "check"])
+    def test_input_directory_exits_2(self, tmp_path, noisy_line, command, capsys):
+        # IsADirectoryError was not caught: a traceback and exit 1
+        good, y = noisy_line
+        d = tmp_path / "a-directory"
+        d.mkdir()
+        argv = [command, "--input", str(d), "--output", str(tmp_path / "out.csv")]
+        if command in ("fit", "check"):
+            argv += ["--lambda", "1"]
+        if command == "check":
+            argv += ["--fit", str(good)]
+        assert main(argv) == 2
+        assert str(d) in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("output", ["a-directory", "line.csv/out.csv"])
+    def test_output_path_that_cannot_be_a_file_exits_2(self, tmp_path, noisy_line, output,
+                                                       capsys):
+        # a directory, or a path under a file: an OSError traceback and exit 1
+        good, y = noisy_line
+        (tmp_path / "a-directory").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / output
+        assert main(["fit", "--input", str(good), "--lambda", "1", "--output", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, cell, capsys):
+        # "series contains non-finite values" named neither file nor line
+        p = tmp_path / "bad.csv"
+        p.write_text(f"value\n1.0\n2.0\n{cell}\n4.0\n5.0\n")
+        assert main(["fit", "--input", str(p), "--lambda", "1",
+                     "--output", str(tmp_path / "out.csv")]) == 2
+        assert f"{p}: line 4" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestPathAndSelect:
     def test_noiseless_tent_recovers_kink(self, tmp_path, tent_series):
@@ -350,6 +388,27 @@ class TestSimulate:
         assert main(["simulate", "--preset", "example1", "--n", "50", "--reps", "1", flag, value,
                      "--output", str(tmp_path / "x.csv")]) == 2
         assert f"{name} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exit_2(self, tmp_path, workers, capsys):
+        # both ran the replications serially and exited 0
+        assert main(["simulate", "--preset", "example1", "--n", "50", "--reps", "1",
+                     "--workers", workers, "--output", str(tmp_path / "x.csv")]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("snr", ["nan", "0", "-5"])
+    def test_bad_snr_rejected_before_any_replication(self, tmp_path, monkeypatch, snr, capsys):
+        # nan was blamed on "series contains non-finite values"; 0 was caught
+        # only inside the first replication
+        def no_replication(*args):
+            raise AssertionError("ran a replication")
+
+        monkeypatch.setattr(simulate, "run_replication", no_replication)
+        assert main(["simulate", "--preset", "example1", "--n", "50", "--reps", "2",
+                     "--snr", snr, "--workers", "2", "--output", str(tmp_path / "x.csv")]) == 2
+        assert "snr must be positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_importing_the_cli_leaves_the_process_pool_unloaded(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendfilter import __version__, io
-from trendfilter.core import TimeSeries, TrendFit, extract_kinks
+from trendfilter.core import MIN_SERIES_LEN, TimeSeries, TrendFit, extract_kinks
 from trendfilter.simulate import ExperimentConfig, ExperimentResult, example2
 
 
@@ -19,8 +19,10 @@ class _RefError(ValueError):
 
 
 def _reference_read_series(path):
-    """The series read a csv.reader row at a time, each cell through float()."""
-    values, rows = [], 0
+    """The series read a csv.reader row at a time, each cell through float();
+    a series long enough for a TimeSeries with a non-finite value is an error
+    at that value's line."""
+    values, lines, rows = [], [], 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -37,8 +39,12 @@ def _reference_read_series(path):
                 if rows == 1:
                     continue  # header row: the first one that is neither blank nor a comment
                 raise _RefError(f"not a number: {cell!r}", lineno) from None
+            lines.append(lineno)
     if not values:
         raise _RefError("no numeric rows found", 1)
+    bad = [line for v, line in zip(values, lines) if not np.isfinite(v)]
+    if bad and len(values) >= MIN_SERIES_LEN:
+        raise _RefError("value must be finite", bad[0])
     return TimeSeries(values)
 
 
@@ -270,6 +276,19 @@ def test_field_size_limit_holds_with_or_without_quotes(tmp_path, quote):
     fit.write_text(f"t,mu_hat\n1,1.0\n2,{quote}{' ' * limit}1{quote}\n")
     with pytest.raises(io.CsvParseError, match="line 3"):
         io.read_fit_mu(fit)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("text, line", [
+    pytest.param("value\n1\n2\n{}\n4\n5\n", 4, id="header"),
+    pytest.param("# note\n\n1,1\n2,{}\n3,3\n4,4\n5,{}\n", 4, id="two-column-comment-blank"),
+])
+def test_read_series_names_a_non_finite_value(tmp_path, cell, text, line):
+    # the TimeSeries check named neither the file nor the line
+    path = tmp_path / "series.csv"
+    path.write_text(text.format(cell, cell))
+    with pytest.raises(io.CsvParseError, match=re.escape(f"{path}: line {line}: ") + f".*{cell}"):
+        io.read_series(path)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "oops"])

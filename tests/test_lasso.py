@@ -48,12 +48,55 @@ def cd_fit(prob: LassoProblem, beta_init: np.ndarray | None = None,
                             solver="lasso")
 
 
+def _numpy_block_ls_step(prob, beta, r):
+    """The block step with its move on numpy arrays: ``_block_ls_step`` must
+    match it bit for bit."""
+    t, G2 = prob._t, prob._G2
+    rhs = np.array([r.sum(), t @ r]) + G2 @ beta[:2]
+    sol = np.linalg.solve(G2, rhs)
+    d = sol - beta[:2]
+    if np.any(d != 0.0):
+        r -= d[0] + d[1] * t
+        beta[:2] = sol
+        return float(np.max(np.abs(d) / (1.0 + np.abs(sol))))
+    return 0.0
+
+
+def _numpy_pass(prob, beta, r):
+    """The O(n) sweep with one full ``Z d`` for all the moves, on the numpy
+    block step: ``_cd_pass`` must match it bit for bit."""
+    lam, n = prob.lam, prob.n
+    maxrel = _numpy_block_ls_step(prob, beta, r)
+    g = prob.Z.rmatvec(r).tolist()
+    b = beta.tolist()
+    D0 = D1 = 0.0
+    for j, s2, s1 in zip(range(2, n), prob._s2, prob._s1):
+        bj = b[j]
+        rho = g[j] - s2 * D0 - s1 * (j * D0 - D1) + s2 * bj
+        if rho > lam:
+            bnew = (rho - lam) / s2
+        elif rho < -lam:
+            bnew = (rho + lam) / s2
+        else:
+            bnew = 0.0
+        dj = bnew - bj
+        if dj != 0.0:
+            b[j] = bnew
+            D0 += dj
+            D1 += dj * j
+    new = np.array(b)
+    d = new - beta
+    beta[:] = new
+    r -= prob.Z.matvec(d)
+    return float(np.max(np.abs(d) / (1.0 + np.abs(new)), initial=maxrel))
+
+
 def _reference_pass(prob, beta, r):
     """The O(n^2) sweep: each coordinate reads its inner product off its own
     tail of r and writes its move straight back into that tail."""
     nrm, lam, t = prob._norms, prob.lam, prob._t
     n = prob.n
-    maxrel = _block_ls_step(prob, beta, r)
+    maxrel = _numpy_block_ls_step(prob, beta, r)
     for j in range(2, n):
         zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
         bj = beta[j]
@@ -73,7 +116,7 @@ def _listed_pass(prob, beta, r):
     r is updated from ``np.array(d)``. The sweep under test must match it bit
     for bit."""
     lam, n = prob.lam, prob.n
-    maxrel = _block_ls_step(prob, beta, r)
+    maxrel = _numpy_block_ls_step(prob, beta, r)
     g = prob.Z.rmatvec(r).tolist()
     b = beta.tolist()
     d = [0.0] * n
@@ -117,6 +160,21 @@ _SWEEP_SERIES = [
 def _sweep_start(prob, y, start):
     beta = prob.Z.encode(y) if start == "interpolant" else np.zeros(y.size)
     return beta, y - prob.Z.matvec(beta)
+
+
+def _assert_bitwise_equal_steps(y, start, reference, step, times):
+    """Run both steps ``times`` times from the same start; after each, beta,
+    r and the returned relative move must have the same bytes."""
+    prob = LassoProblem(y, lambda_max(y) / 100)
+    beta, r_ref = _sweep_start(prob, y, start)
+    b_ref, b_new = beta.copy(), beta.copy()
+    r_new = r_ref.copy()
+    for _ in range(times):
+        m_ref = reference(prob, b_ref, r_ref)
+        m_new = step(prob, b_new, r_new)
+        assert b_new.tobytes() == b_ref.tobytes()
+        assert r_new.tobytes() == r_ref.tobytes()
+        assert np.float64(m_new).tobytes() == np.float64(m_ref).tobytes()
 
 
 class TestCdFit:
@@ -171,16 +229,29 @@ class TestCdPass:
     @pytest.mark.parametrize("y", _SWEEP_SERIES)
     @pytest.mark.parametrize("start", ["interpolant", "zero"])
     def test_bitwise_equal_to_the_listed_sweep(self, y, start):
-        prob = LassoProblem(y, lambda_max(y) / 100)
-        beta, r_ref = _sweep_start(prob, y, start)
-        b_ref, b_new = beta.copy(), beta.copy()
-        r_new = r_ref.copy()
-        for _ in range(5):
-            m_ref = _listed_pass(prob, b_ref, r_ref)
-            m_new = _cd_pass(prob, b_new, r_new)
-            assert b_new.tobytes() == b_ref.tobytes()
-            assert r_new.tobytes() == r_ref.tobytes()
-            assert np.float64(m_new).tobytes() == np.float64(m_ref).tobytes()
+        _assert_bitwise_equal_steps(y, start, _listed_pass, _cd_pass, 5)
+
+    @pytest.mark.parametrize("y", _SWEEP_SERIES)
+    @pytest.mark.parametrize("start", ["interpolant", "zero"])
+    def test_bitwise_equal_to_the_numpy_sweep(self, y, start):
+        _assert_bitwise_equal_steps(y, start, _numpy_pass, _cd_pass, 5)
+
+    @pytest.mark.parametrize("y", _SWEEP_SERIES)
+    @pytest.mark.parametrize("start", ["interpolant", "zero"])
+    def test_block_step_bitwise_equal_to_the_numpy_step(self, y, start):
+        # from the start, and again from a pair the step has already set
+        _assert_bitwise_equal_steps(y, start, _numpy_block_ls_step, _block_ls_step, 2)
+
+    @pytest.mark.parametrize("snr", [1e4, 400.0, 25.0])
+    def test_budget_path_bitwise_equal_with_the_numpy_sweep(self, monkeypatch, snr):
+        # the simulate workload's settings: example2 at n = 500
+        y = _noisy("example2", 500, snr, (1, 0))
+        grid = default_grid(lambda_max(y))
+        fast = budget_path(y, grid).entries
+        monkeypatch.setattr(lasso, "_cd_pass", _numpy_pass)
+        slow = budget_path(y, grid).entries
+        assert [e.fit.mu_hat.tobytes() for e in fast] == [e.fit.mu_hat.tobytes() for e in slow]
+        assert [(e.fit.converged, e.kkt) for e in fast] == [(e.fit.converged, e.kkt) for e in slow]
 
     @pytest.mark.parametrize("y", [
         pytest.param(_noisy("example2", 500, 400.0, (1, 0, 0)), id="example2"),

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trendfilter.core import KinkSet, extract_kinks
+from trendfilter import simulate
 from trendfilter.design import second_diff
 from trendfilter.simulate import (
     ExperimentConfig,
@@ -115,6 +116,12 @@ class TestAddNoise:
     def test_zero_trend_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(snr=10.0).sigma(np.zeros(20))
+
+    @pytest.mark.parametrize("snr", [float("nan"), 0.0, -1.0, -math.inf])
+    def test_bad_snr_rejected(self, snr):
+        # NaN passed, and its noise made the series non-finite
+        with pytest.raises(ValueError, match="snr must be positive"):
+            NoiseSpec(snr=snr)
 
     def test_signed_mean_convention(self):
         mu0 = np.abs(gen_trend(example1(n=100))) + 1.0
@@ -313,6 +320,22 @@ class TestRunExperiment:
         # NaN counted no kinks, and -1 failed later with a message about signs
         with pytest.raises(ValueError, match="tol_kink"):
             self._tiny_config(tol_kink=tol_kink)
+
+    @pytest.mark.parametrize("snr", [float("nan"), 0.0, -1.0])
+    def test_bad_snr_rejected_by_the_config(self, snr):
+        # 0 was rejected only inside the first replication
+        with pytest.raises(ValueError, match="snr must be positive"):
+            self._tiny_config(snr=snr)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_workers_rejected(self, monkeypatch, workers):
+        # both ran the replications serially
+        def no_replication(*args):
+            raise AssertionError("ran a replication")
+
+        monkeypatch.setattr(simulate, "run_replication", no_replication)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(self._tiny_config(), workers=workers)
 
     def test_replication_run_matches_batch(self):
         cfg = self._tiny_config(snr=200.0, replications=2)
