@@ -44,9 +44,11 @@ def as_array(y) -> np.ndarray:
 
 
 def finite_array(y) -> np.ndarray:
-    """``as_array(y)``, rejected with a ValueError unless every value is
-    finite, as a TimeSeries is: what the solvers' entry points take."""
+    """``as_array(y)``, rejected with a ValueError unless it holds at least 3
+    values, all finite: what the solvers' entry points take."""
     yv = as_array(y)
+    if yv.size < 3:
+        raise ValueError(f"series length must be >= 3, got {yv.size}")
     if not np.all(np.isfinite(yv)):
         raise ValueError("series contains non-finite values")
     return yv

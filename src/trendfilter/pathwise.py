@@ -22,17 +22,21 @@ active-set method in the manner of Hoefling 2010:
   goes against its sign closes at step 0. The walk, ``_walk``, runs on
   Python floats and is the lasso route's restricted solve too.
 
-The polish is exact, so no round evaluates the objective. A level ends once
-a scan after a finished polish at its lambda cuts nothing, as the state is
-then exact and no subgradient breaks its bound, or once a round returns to
-a nu the level has held: rounds are deterministic, so that cycle would
-repeat forever (the lasso route ends its levels on a repeat too). A round
-costs O(n) numpy work and scalar work in proportion to the runs. The grid
-loop, the lam = 0 entry and the KKT certificate are ``kkt.certified_path``'s.
+A level holds nu as its runs: the starts S (0, then each position where the
+slope changes) and slopes V, Python lists, with mu = cumsum(nu). The polish is
+exact, so no round evaluates the objective. A level ends once a scan after a
+finished polish at its lambda cuts nothing, as the state is then exact and no
+subgradient breaks its bound, or once a round returns to runs the level has
+held: rounds are deterministic, so that cycle would repeat forever (the lasso
+route ends its levels on a repeat too). A round's O(n) numpy work is the
+scan's double cumulative sum and the polish's mu; the rest is scalar work in
+proportion to the runs and the violations. The grid loop, the lam = 0 entry
+and the KKT certificate are ``kkt.certified_path``'s.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +61,16 @@ class PathwiseOptions:
     sweep_tol: float = 1e-10
 
 
-def _runs_of(nu: np.ndarray) -> np.ndarray:
-    """Starts of the maximal runs of exactly equal values."""
-    return np.flatnonzero(np.concatenate(([True], nu[1:] != nu[:-1])))
+def _runs(a, alpha, n):
+    """(S, V, mu): the runs of slopes alpha on starts a, less each start whose
+    slope equals the one before. Slopes are never -0.0 (sums whose first term
+    is not), so equal slopes have equal bytes and (S, V) is nu exactly."""
+    S, V = a[:1], alpha[:1]
+    for p, v in zip(a[1:], alpha[1:]):
+        if v != V[-1]:
+            S.append(p)
+            V.append(v)
+    return S, V, np.repeat(V, [q - p for p, q in zip(S, [*S[1:], n])]).cumsum()
 
 
 def _run_values(a, b, cs_y, cs_ty, h, lam):
@@ -112,25 +123,25 @@ def _prefix_sums(y):
     return [0.0, *np.cumsum(y).tolist()], [0.0, *cs_ty.tolist()]
 
 
-def _split_scan(y, nu, r, lam):
+def _split_scan(y, mu, S, lam):
     """Choose where the runs split: one cut in every maximal band of
     consecutive positions whose subgradient breaks its bound (|g| > lam *
     (1 + ``SPLIT_SLACK``)), at the band's peak |g| (the lowest position on a
     tie), with the sign of g there as the new boundary's sign. A band whose
-    peak is already a run start gets no cut: the polish re-solves that
-    boundary anyway. Moves nothing; returns (positions, signs), ascending."""
-    g = np.cumsum(np.cumsum(r))[:y.size - 2]  # g[p - 2] is lam times the subgradient at p
-    gabs = np.abs(g)
-    over = np.flatnonzero(gabs > lam * (1.0 + SPLIT_SLACK))
-    if over.size == 0:
-        return over, g[over]
-    band = np.cumsum(np.concatenate(([True], over[1:] != over[:-1] + 1)))
-    # the peak of each band: by band, then by falling |g|; the lowest position wins a tie
-    order = np.lexsort((-gabs[over], band))
-    band = band[order]
-    peaks = over[order[np.concatenate(([True], band[1:] != band[:-1]))]] + 2
-    cuts = peaks[nu[peaks] == nu[peaks - 1]]
-    return cuts, np.sign(g[cuts - 2])
+    peak is in S, a run start, gets no cut: the polish re-solves that boundary
+    anyway. A loop over the bands finds the peaks. Moves nothing; returns
+    (positions, signs), ascending lists."""
+    g = (y - mu).cumsum().cumsum()[:y.size - 2]  # g[p - 2] is lam times the subgradient at p
+    gabs = abs(g)
+    over = (gabs > lam * (1.0 + SPLIT_SLACK)).nonzero()[0]
+    m = gabs[over].tolist()
+    ends = ((over[1:] - over[:-1]) != 1).nonzero()[0].tolist() + [len(m) - 1] if m else []
+    peaks, s = [], 0  # band over[s..e] peaks at the first of its largest |g|
+    for e in ends:
+        peaks.append(int(over[m.index(max(m[s:e + 1]), s)]) + 2)
+        s = e + 1
+    cuts = [p for p in peaks if S[bisect_right(S, p) - 1] != p]
+    return cuts, [1.0 if g[p - 2] > 0 else -1.0 for p in cuts]
 
 
 def _walk(a, alpha, signs, sums, lam, n):
@@ -165,51 +176,44 @@ def _walk(a, alpha, signs, sums, lam, n):
     return a, alpha, False
 
 
-def _structure_polish(y, nu, r, lam, sums, cuts, cut_signs):
-    """Exact run-value solve for the current fused pattern, with a boundary
-    added at every cut, under frozen boundary signs (a cut's own sign, else
-    the sign of the boundary's slope step), by ``_walk``. Index 1 always
-    starts a run: no cut is made at that unpenalised boundary, so a run fused
-    across it would stay fused. A cut whose step goes against its sign closes
-    at step 0 and is dropped there. The move is taken untested. Returns
+def _structure_polish(y, S, V, lam, sums, cuts, cut_signs):
+    """Exact run-value solve by ``_walk`` for the runs S, V split at index 1
+    and every cut (one O(G + cuts) merge), under frozen boundary signs: a
+    cut's own, else the sign of the slope step. A cut takes the slope of its
+    run; one whose step goes against its sign closes at step 0. No cut is
+    made at the unpenalised index 1, so a run fused across it would stay
+    fused. The move is taken untested. Returns ``_runs`` of the result and
     whether the walk ended on a full step, the exact solve of its pattern.
     ``sums`` is ``_prefix_sums(y)``, taken once per path."""
-    n = y.size
-    start = np.zeros(n, dtype=bool)
-    start[_runs_of(nu)] = True
-    start[1] = True
-    start[cuts] = True
-    a = np.flatnonzero(start)
-    alpha = nu[a]
-    # a run starting at a[g] >= 2 has a penalised boundary with the one before it
-    signs = np.where(a[1:] >= 2, np.sign(alpha[1:] - alpha[:-1]), 0.0)
-    signs[np.searchsorted(a, cuts) - 1] = cut_signs
-    a, alpha, full = _walk(a.tolist(), alpha.tolist(), signs.tolist(), sums, lam, n)
-    nu[:] = np.repeat(alpha, np.diff(a, append=n))
-    r[:] = y - np.cumsum(nu)
-    return full
+    a = [0, *sorted({1, *S[1:], *cuts})]
+    alpha = [V[bisect_right(S, p) - 1] for p in a]
+    frozen = dict(zip(cuts, cut_signs))
+    signs = [frozen.get(p, 0.0 if p < 2 or u1 == u0 else 1.0 if u1 > u0 else -1.0)
+             for p, u0, u1 in zip(a[1:], alpha, alpha[1:])]
+    a, alpha, full = _walk(a, alpha, signs, sums, lam, y.size)
+    return (*_runs(a, alpha, y.size), full)
 
 
-def _solve_at(y, nu, r, lam, sums, max_rounds):
+def _solve_at(y, S, V, mu, lam, sums, max_rounds):
     """Rounds of split scan (chooses cuts) and structure polish (splits the
-    runs at them, solves every run value, merges runs) at a fixed lambda.
-    True once a scan that follows a finished polish at this lambda chooses no
-    cut, or once a round starts on a nu the level has held: a round is a
-    function of nu (r is always y - cumsum(nu)), so the cycle would repeat
-    forever. False after ``max_rounds`` rounds."""
-    seen = set()
-    finished = False
+    runs at them, solves every run value, merges runs) at a fixed lambda from
+    the runs S, V and their mu; returns them with ok. ok is True once a scan
+    after a finished polish at this lambda chooses no cut, or once a round
+    starts on runs the level has held: a round is a function of them, so the
+    cycle would repeat forever. False after ``max_rounds`` rounds."""
+    seen, finished = set(), False
     for _ in range(max_rounds):
-        # a 64-bit hash of nu's bytes: a false repeat needs a collision
-        state = hash(nu.tobytes())
+        # a 64-bit hash of the runs, the slopes by their bytes (the float hash
+        # equates -0.0 and 0.0): a false repeat needs a collision
+        state = hash((*S, np.array(V).tobytes()))
         if state in seen:
-            return True
+            return S, V, mu, True
         seen.add(state)
-        cuts, cut_signs = _split_scan(y, nu, r, lam)
-        if finished and cuts.size == 0:
-            return True
-        finished = _structure_polish(y, nu, r, lam, sums, cuts, cut_signs)
-    return False
+        cuts, cut_signs = _split_scan(y, mu, S, lam)
+        if finished and not cuts:
+            return S, V, mu, True
+        S, V, mu, finished = _structure_polish(y, S, V, lam, sums, cuts, cut_signs)
+    return S, V, mu, False
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
@@ -226,13 +230,13 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     """
     yv = finite_array(y)
     line = affine_fit(yv)
-    nu = np.full(yv.size, (line[-1] - line[0]) / (yv.size - 1))
-    nu[0] = line[0]  # one run after index 0: the penalty of the affine fit is 0
-    r = yv - np.cumsum(nu)
+    # one run after index 0: the penalty of the affine fit is 0
+    S, V, mu = _runs([0, 1], [float(line[0]), float((line[-1] - line[0]) / (yv.size - 1))], yv.size)
     sums = _prefix_sums(yv)
 
     def solve(lam):
-        ok = _solve_at(yv, nu, r, lam, sums, ROUNDS_PER_POINT * yv.size)
-        return np.cumsum(nu), ok
+        nonlocal S, V, mu
+        S, V, mu, ok = _solve_at(yv, S, V, mu, lam, sums, ROUNDS_PER_POINT * yv.size)
+        return mu, ok
 
     return certified_path(yv, lambda_grid, solve, "pathwise")

@@ -238,3 +238,34 @@ class TestActiveSet:
                 assert report.active_sign_mismatches == mismatches
                 assert report.max_inactive_ratio == ratio
             assert e.kkt == check_kkt(y, mu, e.lam)
+
+
+_ENTRIES = {
+    "pathwise.fit": lambda y: pathwise.fit(y, 1.0),
+    "pathwise.fit_path": lambda y: pathwise.fit_path(y, [0.0, 1.0]),
+    "lasso.fit": lambda y: lasso.fit(y, 1.0),
+    "lasso.fit_path": lambda y: lasso.fit_path(y, [0.0, 1.0]),
+    "lasso.budget_path": lambda y: lasso.budget_path(y, [0.0, 1.0]),
+    "kkt.lambda_max": lambda_max,
+    "oracle_solve": lambda y: oracle_solve(y, 1.0),
+}
+
+
+class TestShortSeries:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("entry", list(_ENTRIES))
+    def test_rejected_at_every_solver_entry(self, monkeypatch, entry, n):
+        # n = 2 used to solve a level and fail in second_diff, n = 1 failed in
+        # affine_fit, oracle_solve of one value in numpy, and lambda_max of two
+        # values returned 0.0
+        def no_solve(*args):
+            raise AssertionError("solved a series shorter than 3")
+
+        monkeypatch.setattr(pathwise, "_solve_at", no_solve)
+        monkeypatch.setattr(lasso, "LassoProblem", no_solve)
+        with pytest.raises(ValueError, match=rf"^series length must be >= 3, got {n}$"):
+            _ENTRIES[entry](np.arange(float(n)))
+
+    @pytest.mark.parametrize("entry", list(_ENTRIES))
+    def test_three_values_solve(self, entry):
+        assert _ENTRIES[entry](np.array([0.0, 2.0, 1.0])) is not None

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from trendfilter.pathwise import (
     fit_path,
     _prefix_sums,
     _run_values,
-    _runs_of,
     _solve_at,
     _split_scan,
     _structure_polish,
@@ -37,8 +37,21 @@ class FusedState:
         if self.resid is None:
             self.resid = self.y - np.cumsum(self.nu)
 
-    def mu(self) -> np.ndarray:
-        return np.cumsum(self.nu)
+
+def _runs_of(nu):
+    """Starts of the maximal runs of exactly equal values."""
+    return np.flatnonzero(np.concatenate(([True], nu[1:] != nu[:-1])))
+
+
+def _level(nu):
+    """The runs (S, V) and mu of the slope vector nu, as a level holds them."""
+    S = _runs_of(nu).tolist()
+    return S, nu[S].tolist(), np.cumsum(nu)
+
+
+def _nu(S, V, n):
+    """The slope vector of the runs S, V."""
+    return np.repeat(V, np.diff(S + [n]))
 
 
 def groups(state: FusedState) -> list[tuple[int, int]]:
@@ -149,9 +162,11 @@ def _fused_states(y, fracs):
     lmax, sums = lambda_max(y), _prefix_sums(y)
     state = _affine_start(y)
     out = [(y, state.nu.copy(), state.resid.copy(), fracs[0] * lmax)]
+    S, V, mu = _level(state.nu)
     for frac, nxt in zip(fracs, fracs[1:]):
-        _solve_at(y, state.nu, state.resid, frac * lmax, sums, 10 * y.size)
-        out.append((y, state.nu.copy(), state.resid.copy(), nxt * lmax))
+        S, V, mu, _ = _solve_at(y, S, V, mu, frac * lmax, sums, 10 * y.size)
+        nu = _nu(S, V, y.size)
+        out.append((y, nu, y - np.cumsum(nu), nxt * lmax))
     return out
 
 
@@ -200,12 +215,22 @@ class TestReferenceEquivalence:
             seen["band over runs"] += any(set(band[1:]) & starts for band in bands)
             seen["peak at run start"] += any(p in starts for p in peaks)
             seen["several bands"] += len(bands) >= 2
-            got = _split_scan(y, nu, r, lam)
+            got = _split_scan(y, np.cumsum(nu), _runs_of(nu).tolist(), lam)
             want = _reference_split_scan(y, nu, r, lam)
-            assert got[0].tolist() == want[0].tolist(), trial
+            assert got[0] == want[0].tolist(), trial
             assert _same_bits(got[1], want[1]), trial
-            assert got[0].tolist() == [p for p in peaks if p not in starts], trial
+            assert got[0] == [p for p in peaks if p not in starts], trial
         assert min(seen.values()) > 0, seen
+
+    def test_split_scan_tie_goes_to_the_lowest_position(self):
+        # |g| = 1 on two bands of three positions, g = 1 on 3..5 and -1 on
+        # 9..11: each band ties at every position and cuts at its first
+        y = np.array([0.0, 1.0, -1.0, 0.0, -1.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0])
+        mu = np.zeros(y.size)
+        assert _split_scan(y, mu, [0], 0.5) == ([3, 9], [1.0, -1.0])
+        assert _split_scan(y, mu, [0, 3], 0.5) == ([9], [-1.0])
+        cuts, signs = _array_split_scan(y, mu, y - mu, 0.5)
+        assert cuts.tolist() == [3, 9] and signs.tolist() == [1.0, -1.0]
 
     @pytest.mark.parametrize("case", ["random-walk", "rounded", "example2"])
     def test_polish_matches_reference(self, rng, case):
@@ -217,18 +242,18 @@ class TestReferenceEquivalence:
         states = [(y, start.nu, start.resid, 0.02 * lambda_max(y))]
         states += _fused_states(y, (0.5, 0.2, 0.02, 0.002))
         moved = cut = 0
-        for k, (y, nu0, r0, lam) in enumerate(states):
-            state = FusedState(y=y, nu=nu0.copy(), resid=r0.copy())
+        for k, (y, nu0, _, lam) in enumerate(states):
+            S, V, mu = _level(nu0)
             for rnd in range(3):
-                cuts, signs = _split_scan(y, state.nu, state.resid, lam)
-                nu, r = state.nu.copy(), state.resid.copy()
-                got = _structure_polish(y, state.nu, state.resid, lam, _prefix_sums(y),
-                                        cuts, signs)
-                moved += not _same_bits(state.nu, nu)
+                cuts, signs = _split_scan(y, mu, S, lam)
+                nu, r = _nu(S, V, y.size), y - mu
+                S, V, mu, got = _structure_polish(y, S, V, lam, _prefix_sums(y), cuts, signs)
+                moved += not _same_bits(_nu(S, V, y.size), nu)
                 want = _reference_polish(y, nu, r, lam, cuts, signs)
                 assert got is want is True, (k, rnd)
-                assert _same_bits(state.nu, nu) and _same_bits(state.resid, r), (k, rnd)
-                cut += cuts.size > 0
+                assert S == _runs_of(nu).tolist() and _same_bits(V, nu[S]), (k, rnd)
+                assert _same_bits(mu, np.cumsum(nu)) and _same_bits(y - mu, r), (k, rnd)
+                cut += len(cuts) > 0
         assert moved >= len(states) and cut >= len(states)
 
     def test_collision_walk_merges_tied_boundaries_at_once(self, monkeypatch):
@@ -240,7 +265,6 @@ class TestReferenceEquivalence:
         target = np.zeros(nu.size)
         target[[0, 1, 3, 5, 7, 9]] = [5.0, 20.0, 19.0, 20.0, 19.0, 20.0]
         y = np.cumsum(nu) + np.linspace(-1.0, 1.0, nu.size)
-        no_cuts = (np.empty(0, dtype=int), np.empty(0))
         calls = []
 
         def run_values(a, b, cs_y, cs_ty, h, lam):
@@ -248,15 +272,144 @@ class TestReferenceEquivalence:
             return target[a].tolist()
 
         monkeypatch.setattr(pathwise, "_run_values", run_values)
-        state = FusedState(y=y, nu=nu.copy())
-        got = _structure_polish(y, state.nu, state.resid, 0.1, _prefix_sums(y), *no_cuts)
+        S, V, _ = _level(nu)
+        S, V, mu, got = _structure_polish(y, S, V, 0.1, _prefix_sums(y), [], [])
         walk, calls[:] = list(calls), []
         ref = FusedState(y=y, nu=nu.copy())
-        want = _reference_polish(y, ref.nu, ref.resid, 0.1, *no_cuts)
+        want = _reference_polish(y, ref.nu, ref.resid, 0.1, [], [])
         assert walk == calls
         assert [a for a, _, _ in walk] == [[0, 1, 3, 5, 7, 9], [0, 1, 5, 9]]
         assert got == want
-        assert _same_bits(state.nu, ref.nu) and _same_bits(state.resid, ref.resid)
+        assert _same_bits(_nu(S, V, y.size), ref.nu) and _same_bits(y - mu, ref.resid)
+
+
+def _array_split_scan(y, nu, r, lam):
+    """The split scan on the n-vector nu: band peaks by ``np.lexsort``, and a
+    peak starts a run where nu steps there."""
+    g = np.cumsum(np.cumsum(r))[:y.size - 2]
+    gabs = np.abs(g)
+    over = np.flatnonzero(gabs > lam * (1.0 + pathwise.SPLIT_SLACK))
+    if over.size == 0:
+        return over, g[over]
+    band = np.cumsum(np.concatenate(([True], over[1:] != over[:-1] + 1)))
+    order = np.lexsort((-gabs[over], band))
+    band = band[order]
+    peaks = over[order[np.concatenate(([True], band[1:] != band[:-1]))]] + 2
+    cuts = peaks[nu[peaks] == nu[peaks - 1]]
+    return cuts, np.sign(g[cuts - 2])
+
+
+def _array_polish(y, nu, r, lam, sums, cuts, cut_signs):
+    """The structure polish on the n-vector nu: the run starts, index 1 and
+    the cuts merged through a boolean start mask, then ``_walk``; nu and r
+    are written in place."""
+    n = y.size
+    start = np.zeros(n, dtype=bool)
+    start[_runs_of(nu)] = True
+    start[1] = True
+    start[cuts] = True
+    a = np.flatnonzero(start)
+    alpha = nu[a]
+    signs = np.where(a[1:] >= 2, np.sign(alpha[1:] - alpha[:-1]), 0.0)
+    signs[np.searchsorted(a, cuts) - 1] = cut_signs
+    a, alpha, full = _walk(a.tolist(), alpha.tolist(), signs.tolist(), sums, lam, n)
+    nu[:] = np.repeat(alpha, np.diff(a, append=n))
+    r[:] = y - np.cumsum(nu)
+    return full
+
+
+def _array_fit_path(y, grid, scans, repeats):
+    """``fit_path`` with a level held as the n-vector nu and its residual, and
+    its repeats told by a hash of nu's bytes. Appends each level's scan count
+    to ``scans`` and whether it ended on a repeat to ``repeats``."""
+    line = affine_fit(y)
+    nu = np.full(y.size, (line[-1] - line[0]) / (y.size - 1))
+    nu[0] = line[0]
+    r = y - np.cumsum(nu)
+    sums = _prefix_sums(y)
+
+    def level(lam):
+        seen, finished = set(), False
+        scans.append(0)
+        repeats.append(False)
+        for _ in range(pathwise.ROUNDS_PER_POINT * y.size):
+            state = hash(nu.tobytes())
+            if state in seen:
+                repeats[-1] = True
+                return np.cumsum(nu), True
+            seen.add(state)
+            cuts, cut_signs = _array_split_scan(y, nu, r, lam)
+            scans[-1] += 1
+            if finished and cuts.size == 0:
+                return np.cumsum(nu), True
+            finished = _array_polish(y, nu, r, lam, sums, cuts, cut_signs)
+        return np.cumsum(nu), False
+
+    return kkt.certified_path(y, grid, level, "pathwise")
+
+
+def _bench_module(monkeypatch, name):
+    """A module of the benchmark's input generators (``bench`` is no package)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return __import__(name)
+
+
+def _exactness_series(monkeypatch, case):
+    """(y, grid) pairs; a grid of None is the default grid."""
+    inputs = _bench_module(monkeypatch, "inputs")
+    if case == "fixed":
+        workloads = _bench_module(monkeypatch, "workloads")
+        return [(inputs.noisy_series(*spec), None) for spec in workloads.PATHWISE_FIXED]
+    if case == "lasso-series-1":
+        return [(y, None) for y in _bench_module(monkeypatch, "workloads").lasso_series(1)]
+    if case.startswith("short-round"):
+        return [(s.y, [s.lam]) for s in inputs.short_round(1, int(case[-1]))]
+    base = inputs.noisy_series("example2", 400, 400.0, (5, 0, 0))
+    if case == "offset-level":
+        return [(base + 1e6, None)]
+    if case == "offset-slope":
+        return [(base + 1e4 * np.arange(1.0, 401.0), None)]
+    spec = PiecewiseLinearSpec(n=1000, r=tuple(k / 9 for k in range(1, 9)),
+                               b=(-20.0, 15.0, -10.0, 25.0, -15.0, 10.0, -25.0, 20.0, -5.0))
+    return [(np.round(add_noise(gen_trend(spec), NoiseSpec(25.0, seed=(4, 2, 3))).y), None)]
+
+
+class TestArrayFormLevel:
+    """The level held as its runs against the same level held as the n-vector
+    nu, bit for bit, with the same rounds."""
+
+    @pytest.mark.parametrize("case", ["fixed", "lasso-series-1", "short-round-0",
+                                      "short-round-1", "offset-level", "offset-slope",
+                                      "rounded"])
+    def test_fit_path_matches_the_array_form_level(self, monkeypatch, case):
+        # on base + 1e6 and the rounded series levels end on a repeated
+        # state, so the runs' digest must end the same levels as the digest of
+        # nu's bytes (base + 1e4 t ends none on a repeat)
+        scans, split_scan, solve_at = [], pathwise._split_scan, pathwise._solve_at
+
+        def counting_scan(*args):
+            scans[-1] += 1
+            return split_scan(*args)
+
+        def counting_solve(*args):
+            scans.append(0)
+            return solve_at(*args)
+
+        monkeypatch.setattr(pathwise, "_split_scan", counting_scan)
+        monkeypatch.setattr(pathwise, "_solve_at", counting_solve)
+        repeats = []
+        for y, grid in _exactness_series(monkeypatch, case):
+            grid = default_grid(lambda_max(y)) if grid is None else grid
+            scans.clear()
+            got = fit_path(y, grid).entries
+            want_scans, want_repeats = [], []
+            want = _array_fit_path(y, grid, want_scans, want_repeats).entries
+            assert [e.fit.mu_hat.tobytes() for e in got] == [e.fit.mu_hat.tobytes() for e in want]
+            assert ([(e.fit.converged, e.kkt) for e in got]
+                    == [(e.fit.converged, e.kkt) for e in want])
+            assert scans == want_scans
+            repeats += want_repeats
+        assert any(repeats) == (case in ("offset-level", "rounded"))
 
 
 class TestFitPath:
@@ -279,9 +432,8 @@ class TestFitPath:
         mu_star = oracle_solve(y, lam, tol=1e-14 * (1 + y @ y))
         f_star = objective_value(y, mu_star, lam)
         for trial in range(5):
-            state = FusedState(y=y, nu=rng.normal(size=6))
-            _solve_at(y, state.nu, state.resid, lam, _prefix_sums(y), 600)
-            f = objective_value(y, state.mu(), lam)
+            mu = _solve_at(y, *_level(rng.normal(size=6)), lam, _prefix_sums(y), 600)[2]
+            f = objective_value(y, mu, lam)
             assert f == pytest.approx(f_star, rel=1e-6)
 
     def test_large_lambda_collapses_to_affine(self, rng):
@@ -343,16 +495,19 @@ class TestFitPath:
         # level no move may raise it
         y = _case_series(rng, case)
         trace = []
+        split_scan, polish = pathwise._split_scan, pathwise._structure_polish
 
-        def recording(move):
-            def wrapped(y, nu, r, lam, *args, **kwargs):
-                out = move(y, nu, r, lam, *args, **kwargs)
-                trace.append((lam, objective_value(y, np.cumsum(nu), lam)))
-                return out
-            return wrapped
+        def scan(y, mu, S, lam):  # moves nothing: the state it leaves is the one it read
+            trace.append((lam, objective_value(y, mu, lam)))
+            return split_scan(y, mu, S, lam)
 
-        for name in ("_structure_polish", "_split_scan"):
-            monkeypatch.setattr(pathwise, name, recording(getattr(pathwise, name)))
+        def recording_polish(y, S, V, lam, *args):
+            out = polish(y, S, V, lam, *args)
+            trace.append((lam, objective_value(y, out[2], lam)))
+            return out
+
+        monkeypatch.setattr(pathwise, "_split_scan", scan)
+        monkeypatch.setattr(pathwise, "_structure_polish", recording_polish)
         fit(y, 0.02 * lambda_max(y))
         levels = [lam for lam, _ in trace]
         assert max(levels.count(lam) for lam in set(levels)) >= 4  # two rounds or more
@@ -421,27 +576,28 @@ class TestFitPath:
 
     @staticmethod
     def _record_levels(monkeypatch, polish_reports=None):
-        """Patch the level's moves to log, per level, ("scan", nu bytes, cut
-        count) and ("polish", reported), and each level's (lam, nu) at exit.
-        ``polish_reports``, if given, replaces what the polish returns."""
+        """Patch the level's moves to log, per level, ("scan", (run starts, mu
+        bytes), cut count) and ("polish", reported), and each level's (lam, S,
+        V, mu) at exit. ``polish_reports``, if given, replaces what the polish
+        reports."""
         levels, exits = [], []
         split_scan, polish, solve_at = (pathwise._split_scan, pathwise._structure_polish,
                                         pathwise._solve_at)
 
-        def scan(y, nu, r, lam):
-            cuts, signs = split_scan(y, nu, r, lam)
-            levels[-1].append(("scan", nu.tobytes(), cuts.size))
+        def scan(y, mu, S, lam):
+            cuts, signs = split_scan(y, mu, S, lam)
+            levels[-1].append(("scan", (tuple(S), mu.tobytes()), len(cuts)))
             return cuts, signs
 
         def logged_polish(*args):
-            finished = polish(*args)
+            *state, finished = polish(*args)
             levels[-1].append(("polish", finished))
-            return finished if polish_reports is None else polish_reports
+            return (*state, finished if polish_reports is None else polish_reports)
 
-        def solve(y, nu, r, lam, *args):
+        def solve(y, S, V, mu, lam, *args):
             levels.append([])
-            out = solve_at(y, nu, r, lam, *args)
-            exits.append((lam, nu.copy()))
+            out = solve_at(y, S, V, mu, lam, *args)
+            exits.append((lam, *out[:3]))
             return out
 
         monkeypatch.setattr(pathwise, "_split_scan", scan)
@@ -461,14 +617,13 @@ class TestFitPath:
                    if ev[-1][0] == "scan" and ev[-1][2] == 0 and ev[-2] == ("polish", True)]
         assert len(levels) == 60 and len(by_rule) >= 55, by_rule
         scale = 1 + np.max(np.abs(y))
-        no_cuts = (np.empty(0, dtype=int), np.empty(0))
         for k in by_rule:
             kinds = [e[0] for e in levels[k]]
             assert kinds.count("scan") == kinds.count("polish") + 1, k
-            lam, nu = exits[k]
-            state = FusedState(y=y, nu=nu.copy())
-            assert _structure_polish(y, state.nu, state.resid, lam, _prefix_sums(y), *no_cuts), k
-            assert np.max(np.abs(state.mu() - np.cumsum(nu))) <= 1e-14 * scale, k
+            lam, S, V, mu = exits[k]
+            *_, again, finished = _structure_polish(y, S, V, lam, _prefix_sums(y), [], [])
+            assert finished, k
+            assert np.max(np.abs(again - mu)) <= 1e-14 * scale, k
         for i, entry in enumerate(path.entries):
             assert entry.kkt.passed and entry.fit.converged, i
 
@@ -481,9 +636,9 @@ class TestFitPath:
         levels, exits = self._record_levels(monkeypatch, polish_reports=False)
         path = fit_path(y, default_grid(lambda_max(y)))
         assert len(levels) == 60
-        for k, (ev, (_, nu)) in enumerate(zip(levels, exits)):
+        for k, (ev, (_, S, _, mu)) in enumerate(zip(levels, exits)):
             assert ev[-1][0] == "polish", k
-            assert nu.tobytes() in {e[1] for e in ev if e[0] == "scan"}, k
+            assert (tuple(S), mu.tobytes()) in {e[1] for e in ev if e[0] == "scan"}, k
         for i, entry in enumerate(path.entries):
             assert entry.kkt.passed and entry.fit.converged, i
 
