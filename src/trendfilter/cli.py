@@ -97,10 +97,10 @@ def _cause(report) -> str:
             f"residual={report.stationarity_residual:.6g}")
 
 
-def _unconverged(y: TimeSeries, fit, lam: float) -> int:
-    """Name the cause of an unconverged fit on stderr; returns exit code 3."""
-    cause = _cause(check_kkt(y, fit.mu_hat, lam))
-    print(f"warning: fit did not converge: {cause}", file=sys.stderr)
+def _unconverged(report) -> int:
+    """Name the cause of an unconverged fit, from its certificate, on stderr;
+    returns exit code 3."""
+    print(f"warning: fit did not converge: {_cause(report)}", file=sys.stderr)
     return EXIT_NONCONVERGED
 
 
@@ -112,7 +112,7 @@ def cmd_fit(args) -> int:
     out = _outpath(args, "fit.csv")
     io.write_fit_csv(out, y, fit, kinks, args_echo=_args_echo(args))
     print(f"lambda={lam:.12g} objective={fit.objective:.12g} kinks={len(kinks)} -> {out}")
-    return EXIT_OK if fit.converged else _unconverged(y, fit, lam)
+    return EXIT_OK if fit.converged else _unconverged(check_kkt(y, fit.mu_hat, lam))
 
 
 def _path_for(args, y: TimeSeries):
@@ -148,7 +148,9 @@ def cmd_select(args) -> int:
     out = _outpath(args, "selected.csv")
     io.write_fit_csv(out, y, fit, extract_kinks(fit, args.tol_kink), args_echo=_args_echo(args))
     print(f"selected lambda={lam_opt:.12g} ({args.criterion}) -> {out}")
-    return EXIT_OK if fit.converged else _unconverged(y, fit, lam_opt)
+    if fit.converged:
+        return EXIT_OK
+    return _unconverged(next(e.kkt for e in path.entries if e.fit is fit))
 
 
 def _config_from_args(args) -> simulate.ExperimentConfig:

@@ -60,8 +60,8 @@ def objective_value(y, mu, lam: float) -> float:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != yv.shape:
         raise InvalidDimensionError(f"length mismatch: y {yv.shape} vs mu {mu.shape}")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and >= 0")
     resid = yv - mu
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(second_diff(mu))))
 
@@ -129,7 +129,7 @@ def kink_mask(mu: np.ndarray, tol_kink: float) -> tuple[np.ndarray, np.ndarray]:
     """The second differences of mu and the mask of those that are kinks:
     |mu_{i+1} - 2 mu_i + mu_{i-1}| > tol_kink * max(1, max |mu|)."""
     b = second_diff(mu)
-    return b, np.abs(b) > tol_kink * max(1.0, float(np.max(np.abs(mu))))
+    return b, np.abs(b) > tol_kink * max(1.0, float(np.abs(mu).max()))
 
 
 def extract_kinks(fit_or_mu, tol_kink: float = KINK_TOL) -> KinkSet:
@@ -166,13 +166,16 @@ class PathEntry:
     fit: TrendFit
     warm_start: bool
     kkt: "object | None" = None  # KktReport; typed loosely to avoid an import cycle
+    score: "object | None" = None  # SelectionScore at KINK_TOL, on the path's y
 
 
 @dataclass(frozen=True)
 class LambdaPath:
-    """Fits along a strictly increasing lambda grid."""
+    """Fits along a strictly increasing lambda grid; ``y``, when set, is the
+    very array the entries' scores were taken on."""
 
     entries: tuple[PathEntry, ...]
+    y: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         lams = [e.lam for e in self.entries]

@@ -10,8 +10,10 @@ moments sum (n - t) r_t and sum (n - 1 - t) r_t (t = 1..n) of r = y - mu,
 read in closed form. That recovery is O(n) and avoids forming the
 ill-conditioned normal equations of D'.
 
-Both certified routes emit their paths through :func:`certified_path`; the
-lasso route's single fits descend the ladder of :func:`fit_ladder`.
+The same pass yields the residual sum of squares, ||D mu||_1 and the kink
+count, so :func:`certified_path`, through which both certified routes emit
+their paths, takes each entry's certificate, objective and selection score
+from one call; the lasso route's single fits descend :func:`fit_ladder`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .core import (KINK_TOL, LambdaPath, PathEntry, TrendFit, as_array, finite_array, kink_mask,
                    validate_grid)
 from .design import second_diff, second_diff_adjoint
+from .selection import score_of
 
 # An active coordinate's subgradient must sit at +-1; allow this much slack
 # before calling it a mismatch (solver output is never exactly stationary).
@@ -43,45 +46,57 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class KktReport:
+    """Margins and verdict, and the rss, ||D mu||_1 and kinks (at tol_kink) read on the way."""
+
     max_inactive_ratio: float
     active_sign_mismatches: int
     stationarity_residual: float
     passed: bool
+    rss: float
+    dmu_l1: float
+    k_hat: int
 
 
 def subgradient_times_lambda(resid: np.ndarray) -> np.ndarray:
     """First n-2 entries of the double cumulative sum of the residual."""
-    return np.cumsum(np.cumsum(resid))[:-2]
+    return resid.cumsum().cumsum()[:-2]
 
 
 def check_kkt(y, mu, lam: float, tol: float = 1e-6, tol_kink: float = KINK_TOL) -> KktReport:
     """Certify that mu minimizes the trend-filter objective at penalty lam.
 
     At lam = 0 optimality degenerates to mu == y and is checked directly.
+    The inactive ratio is max |lam g| divided by lam once: division by lam > 0
+    is monotone. Rejects a negative or non-finite lam before any work.
     """
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and >= 0")
     yv = as_array(y)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != yv.shape:
         raise ValueError(f"length mismatch: {yv.shape} vs {mu.shape}")
     n = yv.size
     resid = yv - mu
-    ymax = float(np.max(np.abs(yv)))
+    rss = float(resid @ resid)
+    b, active = kink_mask(mu, tol_kink)
+    dmu_l1 = float(np.abs(b).sum())
+    k = int(np.count_nonzero(active))
+    ymax = float(np.abs(yv).max())
     if lam == 0.0:
         defect = float(np.max(np.abs(resid)))
-        ok = defect <= tol * (1.0 + ymax)
-        return KktReport(0.0, 0, defect, ok)
-    g = subgradient_times_lambda(resid) / lam
+        return KktReport(0.0, 0, defect, defect <= tol * (1.0 + ymax), rss, dmu_l1, k)
+    lam_g = subgradient_times_lambda(resid)
     w = np.arange(n - 1, -1, -1.0)  # resid - lam D'g is 0 but for w'r and (w - 1)'r
     defect = max(abs(float(w @ resid)), abs(float((w - 1.0) @ resid)))
-    b, active = kink_mask(mu, tol_kink)
-    mismatches = int(np.sum(np.abs(g[active] - np.sign(b[active])) > SIGN_SLACK))
-    inactive_ratio = float(np.max(np.abs(g[~active]))) if not active.all() else 0.0
+    off_sign = np.abs(lam_g[active] / lam - np.sign(b[active])) > SIGN_SLACK
+    mismatches = int(np.count_nonzero(off_sign))
+    inactive_ratio = float(np.abs(lam_g[~active]).max()) / lam if k < active.size else 0.0
     passed = (
         inactive_ratio <= 1.0 + tol
         and mismatches == 0
         and defect <= tol * (1.0 + ymax)
     )
-    return KktReport(inactive_ratio, mismatches, defect, passed)
+    return KktReport(inactive_ratio, mismatches, defect, passed, rss, dmu_l1, k)
 
 
 def affine_fit(y) -> np.ndarray:
@@ -129,9 +144,13 @@ def certified_path(y, lambda_grid, solve, solver: str) -> LambdaPath:
 
     ``solve(lam)`` returns ``(mu, ok)``, warm-started from the rung above,
     with ``ok`` its own stopping rule's verdict; it is never called at
-    lam = 0, where the fit is y itself. Every entry carries its KKT
-    certificate and is flagged converged only when ``ok`` holds and the
-    certificate passed. Entries come back in ascending order.
+    lam = 0, where the fit is y itself. Each entry takes one
+    :func:`check_kkt` pass: its certificate, its objective 0.5 rss +
+    lam ||D mu||_1 (the float operations of ``core.objective_value``) and its
+    ``selection.SelectionScore`` at ``KINK_TOL``, which ``select`` reuses for
+    this y. An entry is flagged converged only when ``ok`` holds and the
+    certificate passed. Entries come back in ascending order; the path keeps
+    a reference to y.
     """
     yv = as_array(y)
     entries = []
@@ -142,10 +161,12 @@ def certified_path(y, lambda_grid, solve, solver: str) -> LambdaPath:
         else:
             mu, ok = solve(lam)
         report = check_kkt(yv, mu, lam)
-        fit = TrendFit.from_mu(yv, mu, lam, converged=ok and report.passed, solver=solver)
-        entries.append(PathEntry(lam=lam, fit=fit, warm_start=warm, kkt=report))
+        fit = TrendFit(lam, mu, 0.5 * report.rss + lam * report.dmu_l1, ok and report.passed,
+                       solver)
+        entries.append(PathEntry(lam, fit, warm, report,
+                                 score_of(lam, report.rss, report.k_hat, yv.size)))
         warm = True
-    return LambdaPath(entries=tuple(reversed(entries)))
+    return LambdaPath(entries=tuple(reversed(entries)), y=yv)
 
 
 def oracle_solve(y, lam: float, tol: float | None = None,

@@ -30,8 +30,10 @@ subgradient breaks its bound, or once a round returns to runs the level has
 held: rounds are deterministic, so that cycle would repeat forever (the lasso
 route ends its levels on a repeat too). A round's O(n) numpy work is the
 scan's double cumulative sum and the polish's mu; the rest is scalar work in
-proportion to the runs and the violations. The grid loop, the lam = 0 entry
-and the KKT certificate are ``kkt.certified_path``'s.
+proportion to the runs and the violations. The double cumulative sum depends
+on mu alone, so a level that ends on its rule hands the one its last scan
+took to the next level's first scan, which reads the same mu. The grid loop,
+the lam = 0 entry and the KKT certificate are ``kkt.certified_path``'s.
 """
 
 from __future__ import annotations
@@ -73,28 +75,31 @@ def _runs(a, alpha, n):
     return S, V, np.repeat(V, [q - p for p, q in zip(S, [*S[1:], n])]).cumsum()
 
 
-def _run_values(a, b, cs_y, cs_ty, h, lam):
-    """Run values minimising the objective for runs [a_g, b_g] with the
-    boundary subgradients h frozen.
+def _run_values(a, signs, cs_y, cs_ty, lam, n):
+    """Slopes minimising the objective for the runs starting at a (a[0] = 0;
+    run g ends where run g + 1 starts, the last at n - 1) with the boundary
+    before run g + 1 frozen at signs[g], so run g's penalty gradient is
+    h_g = s_{g-1} - s_g (s_{-1} = s_{G-1} = 0).
 
     Solved in knot form: on run g, mu interpolates linearly from v_{g-1} (0
     before the first run) to v_g, its value at the run's end, so the normal
     equations in v are tridiagonal, O(G) in time and memory, and well
     conditioned, where those in the run values themselves are dense. One
-    scalar pass on Python floats reads each run's sums and eliminates its
-    row as the next run completes it (the Thomas algorithm, stable here as
-    the matrix is diagonally dominant); a back substitution gives v. Takes
-    and returns lists."""
+    scalar pass on Python floats forms each run's end and h_g, reads its
+    sums and eliminates its row as the next run completes it (the Thomas
+    algorithm, stable here as the matrix is diagonally dominant); the back
+    substitution gives v and emits each slope (v_g - v_{g-1}) / L_g as it
+    goes. Takes and returns lists."""
     # with weights w = k / L (k = 1..L) on each run: v_g gathers sum w^2 over
     # run g and sum (1 - w)^2 over run g + 1, and v_g, v_{g+1} share sum w (1 - w)
     Ls, cp, dp = [], [], []
     off = p = q = 0.0  # the row eliminated last: its coupling to the next, pivot ratio, reduced rhs
     first = True
-    for ag, bg, hg in zip(a, b, h):
-        L = float(bg - ag + 1)
-        sy = cs_y[bg + 1] - cs_y[ag]
-        wy = (cs_ty[bg + 1] - cs_ty[ag] - ag * sy) / L  # sum of y_t (t - a + 1) / L over the run
-        hl = lam * hg / L  # the penalty's gradient in v: alpha_g = (v_g - v_{g-1}) / L_g
+    for ag, end, s0, s1 in zip(a, [*a[1:], n], [0.0, *signs], [*signs, 0.0]):
+        L = float(end - ag)
+        sy = cs_y[end] - cs_y[ag]
+        wy = (cs_ty[end] - cs_ty[ag] - ag * sy) / L  # sum of y_t (t - a + 1) / L over the run
+        hl = lam * (s0 - s1) / L  # the penalty's gradient in v: alpha_g = (v_g - v_{g-1}) / L_g
         L2, L6 = 2 * L, 6 * L
         Ls.append(L)
         if first:
@@ -109,10 +114,12 @@ def _run_values(a, b, cs_y, cs_ty, h, lam):
         diag = (L + 1) * (L2 + 1) / L6
         rhs = wy - hl
     v = (rhs - off * q) / (diag - off * p)
-    dp.append(v)
-    for g in range(len(cp) - 1, -1, -1):
-        v = dp[g] = dp[g] - cp[g] * v
-    return [(v - u) / L for v, u, L in zip(dp, [0.0, *dp[:-1]], Ls)]
+    alpha = []
+    for c, d, L in zip(cp[::-1], dp[::-1], Ls[:0:-1]):
+        u = d - c * v
+        alpha.append((v - u) / L)
+        v = u
+    return [v / Ls[0], *alpha[::-1]]
 
 
 def _prefix_sums(y):
@@ -123,15 +130,17 @@ def _prefix_sums(y):
     return [0.0, *np.cumsum(y).tolist()], [0.0, *cs_ty.tolist()]
 
 
-def _split_scan(y, mu, S, lam):
+def _split_scan(y, mu, S, lam, g=None):
     """Choose where the runs split: one cut in every maximal band of
     consecutive positions whose subgradient breaks its bound (|g| > lam *
     (1 + ``SPLIT_SLACK``)), at the band's peak |g| (the lowest position on a
     tie), with the sign of g there as the new boundary's sign. A band whose
     peak is in S, a run start, gets no cut: the polish re-solves that boundary
-    anyway. A loop over the bands finds the peaks. Moves nothing; returns
-    (positions, signs), ascending lists."""
-    g = (y - mu).cumsum().cumsum()[:y.size - 2]  # g[p - 2] is lam times the subgradient at p
+    anyway. A loop over the bands finds the peaks. A given ``g`` (it depends
+    on mu alone) is the one the level above took on this mu. Moves nothing;
+    returns (positions, signs), ascending lists, and g."""
+    if g is None:
+        g = (y - mu).cumsum().cumsum()[:y.size - 2]  # g[p - 2] is lam times the subgradient at p
     gabs = abs(g)
     over = (gabs > lam * (1.0 + SPLIT_SLACK)).nonzero()[0]
     m = gabs[over].tolist()
@@ -141,22 +150,22 @@ def _split_scan(y, mu, S, lam):
         peaks.append(int(over[m.index(max(m[s:e + 1]), s)]) + 2)
         s = e + 1
     cuts = [p for p in peaks if S[bisect_right(S, p) - 1] != p]
-    return cuts, [1.0 if g[p - 2] > 0 else -1.0 for p in cuts]
+    return cuts, [1.0 if g[p - 2] > 0 else -1.0 for p in cuts], g
 
 
 def _walk(a, alpha, signs, sums, lam, n):
     """Exact solve of a sign-restricted run pattern: runs start at a (a[0] =
     0) with values alpha, and the boundary before run g + 1 carries signs[g]
     (0 if unpenalised). Each step solves the pattern (one ``_run_values``
-    pass) and moves alpha toward it by the least step at which a boundary
-    whose sign the full step would flip reaches zero (0 for one already past
-    it); every boundary closing at that step merges its two runs. Ends on a
-    full step within len(a) + 8 steps. Lists throughout; ``sums`` is
-    ``_prefix_sums`` of the series. Returns (a, alpha, full step)."""
+    pass, which forms its run ends and boundary terms itself) and moves
+    alpha toward it by the least step at which a boundary whose sign the
+    full step would flip reaches zero (0 for one already past it); every
+    boundary closing at that step merges its two runs. Ends on a full step
+    within len(a) + 8 steps. Lists throughout; ``sums`` is ``_prefix_sums``
+    of the series. Returns (a, alpha, full step)."""
     cs_y, cs_ty = sums
     for _ in range(len(a) + 8):
-        h = [s - t for s, t in zip([0.0, *signs], [*signs, 0.0])]
-        sol = _run_values(a, [j - 1 for j in a[1:]] + [n - 1], cs_y, cs_ty, h, lam)
+        sol = _run_values(a, signs, cs_y, cs_ty, lam, n)
         d = [v - u for v, u in zip(sol, alpha)]
         theta, hit = 1.0, []  # hit: (boundary, step) where the full step flips the sign
         for k, (s, u0, u1, e0, e1) in enumerate(zip(signs, alpha, alpha[1:], d, d[1:])):
@@ -194,26 +203,29 @@ def _structure_polish(y, S, V, lam, sums, cuts, cut_signs):
     return (*_runs(a, alpha, y.size), full)
 
 
-def _solve_at(y, S, V, mu, lam, sums, max_rounds):
+def _solve_at(y, S, V, mu, lam, sums, max_rounds, g=None):
     """Rounds of split scan (chooses cuts) and structure polish (splits the
     runs at them, solves every run value, merges runs) at a fixed lambda from
-    the runs S, V and their mu; returns them with ok. ok is True once a scan
-    after a finished polish at this lambda chooses no cut, or once a round
-    starts on runs the level has held: a round is a function of them, so the
-    cycle would repeat forever. False after ``max_rounds`` rounds."""
+    the runs S, V and their mu; returns them with ok and a scan seed. ok is
+    True once a scan after a finished polish at this lambda chooses no cut,
+    or once a round starts on runs the level has held: a round is a function
+    of them, so the cycle would repeat forever. False after ``max_rounds``
+    rounds. A level that ends on its rule seeds the next level's first scan
+    with the g of its last scan, taken on the mu it returns; else None."""
     seen, finished = set(), False
     for _ in range(max_rounds):
         # a 64-bit hash of the runs, the slopes by their bytes (the float hash
         # equates -0.0 and 0.0): a false repeat needs a collision
         state = hash((*S, np.array(V).tobytes()))
         if state in seen:
-            return S, V, mu, True
+            return S, V, mu, True, None
         seen.add(state)
-        cuts, cut_signs = _split_scan(y, mu, S, lam)
+        cuts, cut_signs, g = _split_scan(y, mu, S, lam, g)
         if finished and not cuts:
-            return S, V, mu, True
+            return S, V, mu, True, g
         S, V, mu, finished = _structure_polish(y, S, V, lam, sums, cuts, cut_signs)
-    return S, V, mu, False
+        g = None
+    return S, V, mu, False, None
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
@@ -233,10 +245,11 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     # one run after index 0: the penalty of the affine fit is 0
     S, V, mu = _runs([0, 1], [float(line[0]), float((line[-1] - line[0]) / (yv.size - 1))], yv.size)
     sums = _prefix_sums(yv)
+    g = None  # the scan seed the level above leaves for the next
 
     def solve(lam):
-        nonlocal S, V, mu
-        S, V, mu, ok = _solve_at(yv, S, V, mu, lam, sums, ROUNDS_PER_POINT * yv.size)
+        nonlocal S, V, mu, g
+        S, V, mu, ok, g = _solve_at(yv, S, V, mu, lam, sums, ROUNDS_PER_POINT * yv.size, g)
         return mu, ok
 
     return certified_path(yv, lambda_grid, solve, "pathwise")

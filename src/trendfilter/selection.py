@@ -38,34 +38,36 @@ class SelectionScore:
 
 def score(y, fit: TrendFit, tol_kink: float = KINK_TOL) -> SelectionScore:
     yv = as_array(y)
-    n = len(yv)
     resid = yv - fit.mu_hat
-    rss = float(resid @ resid)
     k = int(np.count_nonzero(kink_mask(fit.mu_hat, tol_kink)[1]))
+    return score_of(fit.lam, float(resid @ resid), k, len(yv))
+
+
+def score_of(lam: float, rss: float, k: int, n: int) -> SelectionScore:
+    """The scores of a fit at lam with k kinks and residual sum of squares rss on n points."""
     if rss <= 0.0:
-        return SelectionScore(fit.lam, rss, k, float("-inf"), float("-inf"))
+        return SelectionScore(lam, rss, k, float("-inf"), float("-inf"))
     logn = math.log(n)
     base = math.log(rss / n)
-    return SelectionScore(
-        lam=fit.lam,
-        rss=rss,
-        k_hat=k,
-        sic=base + (k + 2) * logn / n,
-        mc=base + k * (k + 1) * logn / n,
-    )
+    return SelectionScore(lam, rss, k, base + (k + 2) * logn / n, base + k * (k + 1) * logn / n)
 
 
 def select(path: LambdaPath, y, criterion: str = "mc",
            tol_kink: float = KINK_TOL) -> tuple[float, TrendFit, list[SelectionScore]]:
     """Entry minimizing the chosen criterion; ties go to the larger lambda.
 
-    Returns (lambda_opt, fit, all scores). Raises if no entry has a finite
-    score (e.g. a single-entry path that interpolates).
+    Returns (lambda_opt, fit, all scores). An entry's stored score is reused
+    when tol_kink is ``KINK_TOL`` and y is the very array the path was
+    certified on; otherwise the entry is scored here. Raises if no entry has
+    a finite score (e.g. a single-entry path that interpolates).
     """
     crit = criterion.lower()
     if crit not in ("sic", "mc"):
         raise ValueError(f"criterion must be 'sic' or 'mc', got {criterion!r}")
-    scores = [score(y, e.fit, tol_kink) for e in path.entries]
+    yv = as_array(y)
+    stored = tol_kink == KINK_TOL and yv is path.y
+    scores = [e.score if stored and e.score is not None else score(yv, e.fit, tol_kink)
+              for e in path.entries]
     best = None
     best_val = math.inf
     for e, s in zip(path.entries, scores):

@@ -287,7 +287,7 @@ class TestPathAndSelect:
                                           certified):
         # select exits 3 on an unconverged selected fit and names the cause, as fit does
         import dataclasses
-        from trendfilter import cli
+        from trendfilter import cli, kkt
         from trendfilter.kkt import KktReport
         real = cli.lasso.fit_path
 
@@ -299,9 +299,12 @@ class TestPathAndSelect:
 
         monkeypatch.setattr(cli.lasso, "fit_path", stuck)
         if not certified:
+            # select prints the selected entry's stored certificate, so the
+            # failing one is what the path certifies every entry with
             failing = KktReport(max_inactive_ratio=1.25, active_sign_mismatches=0,
-                                stationarity_residual=0.0, passed=False)
-            monkeypatch.setattr(cli, "check_kkt", lambda *args, **kwargs: failing)
+                                stationarity_residual=0.0, passed=False, rss=1.0, dmu_l1=0.0,
+                                k_hat=0)
+            monkeypatch.setattr(kkt, "check_kkt", lambda *args, **kwargs: failing)
         p, _ = noisy_line
         assert main(["select", "--input", str(p), "--solver", "lasso", "--grid-size", "8",
                      "--output", str(tmp_path / "sel.csv")]) == 3
@@ -310,6 +313,34 @@ class TestPathAndSelect:
             assert "passed its KKT certificate, but the solver stopped at its round budget" in err
         else:
             assert "failed its KKT certificate: max_inactive_ratio=1.25" in err
+
+    def test_select_exit3_prints_the_stored_certificate(self, tmp_path, noisy_line, monkeypatch,
+                                                        capsys):
+        # select certifies each entry once, on the path; it used to run
+        # check_kkt again on the selected fit to name the cause
+        import dataclasses
+        from trendfilter import cli, kkt
+        real, calls, reports = kkt.check_kkt, [], {}
+
+        def failing(y, mu, lam, *args, **kwargs):
+            report = dataclasses.replace(real(y, mu, lam, *args, **kwargs), passed=False,
+                                         max_inactive_ratio=2.0 + len(calls))
+            calls.append(lam)
+            reports[lam] = report
+            return report
+
+        monkeypatch.setattr(kkt, "check_kkt", failing)
+        monkeypatch.setattr(cli, "check_kkt", failing)
+        p, _ = noisy_line
+        assert main(["select", "--input", str(p), "--grid-size", "8",
+                     "--output", str(tmp_path / "sel.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert len(calls) == 9 and len(set(calls)) == 9
+        shown = out.split("selected lambda=")[1].split()[0]
+        (report,) = [r for lam, r in reports.items() if f"{lam:.12g}" == shown]
+        assert (f"failed its KKT certificate: max_inactive_ratio={report.max_inactive_ratio:.6g} "
+                f"mismatches={report.active_sign_mismatches} "
+                f"residual={report.stationarity_residual:.6g}") in err
 
     def test_nonconverged_entries_are_named(self, tmp_path, noisy_line, monkeypatch, capsys):
         # exit 3 names each unconverged entry with its lambda and certificate margin

@@ -56,6 +56,15 @@ class TestObjective:
         lo, hi = min(l1, l2), max(l1, l2)
         assert objective_value(y, mu, lo) <= objective_value(y, mu, hi) + 1e-12
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_bad_lambda_rejected(self, lam):
+        # a NaN lambda passed the old lam < 0 test and gave a NaN objective
+        y = np.zeros(5)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            objective_value(y, y, lam)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            TrendFit.from_mu(y, y, lam)
+
     def test_lambda_zero_is_half_rss(self, rng):
         y = rng.normal(size=9)
         mu = rng.normal(size=9)

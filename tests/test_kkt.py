@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendfilter import lasso, pathwise
-from trendfilter.core import TimeSeries, extract_kinks
+from trendfilter.core import TimeSeries, extract_kinks, objective_value
 from trendfilter.design import second_diff, second_diff_adjoint
 from trendfilter.kkt import (
     SIGN_SLACK,
@@ -14,8 +18,15 @@ from trendfilter.kkt import (
     oracle_solve,
     subgradient_times_lambda,
 )
-from trendfilter.selection import default_grid
+from trendfilter.selection import default_grid, score
 from tests.conftest import random_walk
+
+
+def _bits(obj):
+    """A dataclass's fields, or one number, with each float as its hex form,
+    so equal tuples are equal bits."""
+    vals = dataclasses.astuple(obj) if dataclasses.is_dataclass(obj) else (obj,)
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in vals)
 
 
 class TestAffineFit:
@@ -138,6 +149,28 @@ class TestCheckKkt:
         ts = TimeSeries(y)
         assert check_kkt(ts, y.copy(), 0.0).passed
 
+    @pytest.mark.parametrize("lam", [-1.0, -2.0, float("nan"), float("inf"), -float("inf")],
+                             ids=["-lmax", "-2lmax", "nan", "inf", "-inf"])
+    def test_bad_lambda_rejected(self, rng, lam):
+        # the affine fit passed its certificate at -lambda_max and -2 lambda_max
+        y = random_walk(rng, 30)
+        if lam in (-1.0, -2.0):
+            lam *= lambda_max(y)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            check_kkt(y, affine_fit(y), lam)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            check_kkt(y, np.zeros(7), lam)  # before any other check
+
+    def test_report_carries_rss_penalty_and_kinks(self, rng):
+        y = random_walk(rng, 40)
+        mu = pathwise.fit(y, lambda_max(y) / 5).mu_hat
+        for lam in (0.0, lambda_max(y) / 5):
+            for tol_kink in (1e-8, 1e-4):
+                r = check_kkt(y, mu, lam, tol_kink=tol_kink)
+                assert r.rss == float((y - mu) @ (y - mu))
+                assert r.dmu_l1 == float(np.sum(np.abs(second_diff(mu))))
+                assert r.k_hat == len(extract_kinks(mu, tol_kink))
+
 
 class TestCertifiedPath:
     def test_converged_needs_the_rung_verdict_and_the_certificate(self, rng):
@@ -158,6 +191,34 @@ class TestCertifiedPath:
         assert [e.warm_start for e in path.entries] == [False, True, True, False]
         assert np.array_equal(path.entries[0].fit.mu_hat, y)
         assert {e.fit.solver for e in path.entries} == {"stub"}
+
+
+@st.composite
+def _shifted_series(draw):
+    """A random walk of 3 to 200 points, scaled, offset and given an added
+    line."""
+    n = draw(st.integers(3, 200))
+    y = random_walk(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    y = y * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    y = y + draw(st.sampled_from([0.0, -3.5, 1e6]))
+    return y + draw(st.sampled_from([0.0, 0.25, -1e4])) * np.arange(1.0, n + 1)
+
+
+class TestOnePassPerEntry:
+    @settings(max_examples=60, deadline=None)
+    @given(_shifted_series())
+    def test_stored_quantities_equal_the_separate_calls(self, y):
+        # each entry's objective, certificate and score come from one
+        # check_kkt pass; recomputed apart they must agree bit for bit
+        grid = default_grid(lambda_max(y))
+        for route in (lasso, pathwise):
+            path = route.fit_path(y, grid)
+            assert path.entries[0].lam == 0.0 and path.y is y
+            for e in path.entries:
+                mu = e.fit.mu_hat
+                assert _bits(e.fit.objective) == _bits(objective_value(y, mu, e.lam))
+                assert _bits(e.kkt) == _bits(check_kkt(y, mu, e.lam))
+                assert _bits(e.score) == _bits(score(y, e.fit))
 
 
 class TestFitLadder:

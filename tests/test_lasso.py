@@ -437,7 +437,7 @@ class TestConvergeActive:
         assert (alpha[20] + tc[1] * d[20]) - (alpha[15] + tc[1] * d[15]) != 0.0
         calls = []
 
-        def run_values(a, b, cs_y, cs_ty, h, lam):
+        def run_values(a, signs, cs_y, cs_ty, lam, n):
             calls.append(list(a))
             return [target[j] for j in a]
 

@@ -109,12 +109,7 @@ def _reference_polish(y, nu, r, lam, cuts, cut_signs):
     finished = False
     for _ in range(a.size + 8):
         G = a.size
-        h = np.zeros(G)
-        for g in range(1, G):
-            h[g] += signs[g - 1]
-            h[g - 1] -= signs[g - 1]
-        b = np.array([*(a[1:] - 1), n - 1])
-        d = pathwise._run_values(a, b, cs_y, cs_ty, h, lam) - alpha
+        d = np.asarray(pathwise._run_values(a.tolist(), list(signs), cs_y, cs_ty, lam, n)) - alpha
         steps = {}
         for g in range(1, G):
             diff0 = alpha[g] - alpha[g - 1]
@@ -164,7 +159,7 @@ def _fused_states(y, fracs):
     out = [(y, state.nu.copy(), state.resid.copy(), fracs[0] * lmax)]
     S, V, mu = _level(state.nu)
     for frac, nxt in zip(fracs, fracs[1:]):
-        S, V, mu, _ = _solve_at(y, S, V, mu, frac * lmax, sums, 10 * y.size)
+        S, V, mu, _, _ = _solve_at(y, S, V, mu, frac * lmax, sums, 10 * y.size)
         nu = _nu(S, V, y.size)
         out.append((y, nu, y - np.cumsum(nu), nxt * lmax))
     return out
@@ -227,8 +222,8 @@ class TestReferenceEquivalence:
         # 9..11: each band ties at every position and cuts at its first
         y = np.array([0.0, 1.0, -1.0, 0.0, -1.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0])
         mu = np.zeros(y.size)
-        assert _split_scan(y, mu, [0], 0.5) == ([3, 9], [1.0, -1.0])
-        assert _split_scan(y, mu, [0, 3], 0.5) == ([9], [-1.0])
+        assert _split_scan(y, mu, [0], 0.5)[:2] == ([3, 9], [1.0, -1.0])
+        assert _split_scan(y, mu, [0, 3], 0.5)[:2] == ([9], [-1.0])
         cuts, signs = _array_split_scan(y, mu, y - mu, 0.5)
         assert cuts.tolist() == [3, 9] and signs.tolist() == [1.0, -1.0]
 
@@ -245,7 +240,7 @@ class TestReferenceEquivalence:
         for k, (y, nu0, _, lam) in enumerate(states):
             S, V, mu = _level(nu0)
             for rnd in range(3):
-                cuts, signs = _split_scan(y, mu, S, lam)
+                cuts, signs, _ = _split_scan(y, mu, S, lam)
                 nu, r = _nu(S, V, y.size), y - mu
                 S, V, mu, got = _structure_polish(y, S, V, lam, _prefix_sums(y), cuts, signs)
                 moved += not _same_bits(_nu(S, V, y.size), nu)
@@ -267,8 +262,8 @@ class TestReferenceEquivalence:
         y = np.cumsum(nu) + np.linspace(-1.0, 1.0, nu.size)
         calls = []
 
-        def run_values(a, b, cs_y, cs_ty, h, lam):
-            calls.append((list(a), list(b), list(h)))
+        def run_values(a, signs, cs_y, cs_ty, lam, n):
+            calls.append((list(a), list(signs)))
             return target[a].tolist()
 
         monkeypatch.setattr(pathwise, "_run_values", run_values)
@@ -278,7 +273,7 @@ class TestReferenceEquivalence:
         ref = FusedState(y=y, nu=nu.copy())
         want = _reference_polish(y, ref.nu, ref.resid, 0.1, [], [])
         assert walk == calls
-        assert [a for a, _, _ in walk] == [[0, 1, 3, 5, 7, 9], [0, 1, 5, 9]]
+        assert [a for a, _ in walk] == [[0, 1, 3, 5, 7, 9], [0, 1, 5, 9]]
         assert got == want
         assert _same_bits(_nu(S, V, y.size), ref.nu) and _same_bits(y - mu, ref.resid)
 
@@ -384,12 +379,19 @@ class TestArrayFormLevel:
     def test_fit_path_matches_the_array_form_level(self, monkeypatch, case):
         # on base + 1e6 and the rounded series levels end on a repeated
         # state, so the runs' digest must end the same levels as the digest of
-        # nu's bytes (base + 1e4 t ends none on a repeat)
+        # nu's bytes (base + 1e4 t ends none on a repeat). A level's first scan
+        # seeded with the g its predecessor left must equal a fresh scan
         scans, split_scan, solve_at = [], pathwise._split_scan, pathwise._solve_at
+        seeded = [0]
 
-        def counting_scan(*args):
+        def counting_scan(y, mu, S, lam, g=None):
             scans[-1] += 1
-            return split_scan(*args)
+            out = split_scan(y, mu, S, lam, g)
+            if g is not None:
+                fresh = split_scan(y, mu, S, lam)
+                assert out[:2] == fresh[:2] and out[2].tobytes() == fresh[2].tobytes()
+                seeded[0] += 1
+            return out
 
         def counting_solve(*args):
             scans.append(0)
@@ -410,6 +412,7 @@ class TestArrayFormLevel:
             assert scans == want_scans
             repeats += want_repeats
         assert any(repeats) == (case in ("offset-level", "rounded"))
+        assert seeded[0] > 0 or case.startswith("short-round")
 
 
 class TestFitPath:
@@ -497,9 +500,9 @@ class TestFitPath:
         trace = []
         split_scan, polish = pathwise._split_scan, pathwise._structure_polish
 
-        def scan(y, mu, S, lam):  # moves nothing: the state it leaves is the one it read
+        def scan(y, mu, S, lam, g=None):  # moves nothing: the state it leaves is the one it read
             trace.append((lam, objective_value(y, mu, lam)))
-            return split_scan(y, mu, S, lam)
+            return split_scan(y, mu, S, lam, g)
 
         def recording_polish(y, S, V, lam, *args):
             out = polish(y, S, V, lam, *args)
@@ -584,10 +587,10 @@ class TestFitPath:
         split_scan, polish, solve_at = (pathwise._split_scan, pathwise._structure_polish,
                                         pathwise._solve_at)
 
-        def scan(y, mu, S, lam):
-            cuts, signs = split_scan(y, mu, S, lam)
+        def scan(y, mu, S, lam, g=None):
+            cuts, signs, g = split_scan(y, mu, S, lam, g)
             levels[-1].append(("scan", (tuple(S), mu.tobytes()), len(cuts)))
-            return cuts, signs
+            return cuts, signs, g
 
         def logged_polish(*args):
             *state, finished = polish(*args)
@@ -694,7 +697,8 @@ class TestFitPath:
     def test_failed_certificate_is_not_converged(self, rng, monkeypatch):
         y = random_walk(rng, 30)
         failing = KktReport(max_inactive_ratio=2.0, active_sign_mismatches=0,
-                            stationarity_residual=0.0, passed=False)
+                            stationarity_residual=0.0, passed=False, rss=0.0, dmu_l1=0.0,
+                            k_hat=0)
         monkeypatch.setattr(kkt, "check_kkt", lambda *args, **kwargs: failing)
         path = fit_path(y, [0.1 * lambda_max(y)])
         assert not path.entries[0].fit.converged
@@ -794,11 +798,14 @@ def _tridiag_solve(off, diag, rhs):
     return np.array(x)
 
 
-def _numpy_run_values(a, b, cs_y, cs_ty, h, lam):
-    """The run-value kernel with its run sums, diagonal, off-diagonal and
-    right-hand side built as numpy arrays, then a Thomas solve. The scalar
-    kernel must match it bit for bit. Takes lists or arrays."""
-    a, b, h = np.asarray(a), np.asarray(b), np.asarray(h, dtype=float)
+def _numpy_run_values(a, signs, cs_y, cs_ty, lam, n):
+    """The run-value kernel with its run ends, boundary subgradient sums h,
+    run sums, diagonal, off-diagonal and right-hand side built as numpy
+    arrays, then a Thomas solve. The scalar kernel must match it bit for bit.
+    Takes lists or arrays."""
+    a, signs = np.asarray(a), np.asarray(signs, dtype=float)
+    b = np.concatenate((a[1:], [n])) - 1
+    h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
     cs_y, cs_ty = np.asarray(cs_y), np.asarray(cs_ty)
     L = (b - a + 1).astype(float)
     sy = cs_y[b + 1] - cs_y[a]
@@ -815,14 +822,13 @@ def _numpy_run_values(a, b, cs_y, cs_ty, h, lam):
 def _run_pattern(rng, G):
     """A random problem for the kernel: G runs over n >= G points, a series
     with a random scale and level, its prefix sums as arrays, and boundary
-    subgradient sums h in {-2, ..., 2}."""
+    signs in {-1, 0, 1}, so the boundary subgradient sums are in {-2, ..., 2}."""
     n = int(rng.integers(G, 4 * G + 40))
     a = np.sort(np.concatenate(([0], rng.choice(np.arange(1, n), size=G - 1, replace=False))))
-    b = np.concatenate((a[1:], [n])) - 1
     y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 4) + rng.choice([0.0, 1e6])
     cs = (np.concatenate([[0.0], np.cumsum(y)]),
           np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)]))
-    return y, a, b, cs, rng.integers(-2, 3, size=G).astype(float)
+    return y, a, cs, rng.integers(-1, 2, size=G - 1).astype(float)
 
 
 class TestRunValues:
@@ -836,14 +842,14 @@ class TestRunValues:
             a = np.array([0, *cuts])
             b = np.array([*(cuts - 1), n - 1])
             y = rng.normal(size=n)
-            h = rng.choice([-1.0, 0.0, 1.0], size=a.size)
+            signs = rng.choice([-1.0, 0.0, 1.0], size=a.size - 1)
+            h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
             lam = float(rng.uniform(0.0, 2.0))
             W = np.cumsum((np.arange(n)[:, None] >= a) & (np.arange(n)[:, None] <= b), axis=0)
             dense = np.linalg.solve(W.T @ W, W.T @ y - lam * h)
             cs_y = np.concatenate([[0.0], np.cumsum(y)])
             cs_ty = np.concatenate([[0.0], np.cumsum(np.arange(1, n + 1) * y)])
-            got = _run_values(a.tolist(), b.tolist(), cs_y.tolist(), cs_ty.tolist(), h.tolist(),
-                              lam)
+            got = _run_values(a.tolist(), signs.tolist(), cs_y.tolist(), cs_ty.tolist(), lam, n)
             assert np.allclose(got, dense, rtol=1e-8, atol=1e-8)
 
     @pytest.mark.parametrize("G", [2, 3, 7, 20, 100, 800, 1200])
@@ -852,10 +858,10 @@ class TestRunValues:
         # order, so every output bit agrees
         rng = np.random.default_rng(G)
         for case in range(12):
-            y, a, b, cs, h = _run_pattern(rng, G)
+            y, a, cs, signs = _run_pattern(rng, G)
             lam = float(rng.uniform(0.0, 2.0) * 10.0 ** rng.integers(-2, 4)) if case % 4 else 0.0
-            want = _numpy_run_values(a, b, *cs, h, lam).tobytes()
-            got = _run_values(a.tolist(), b.tolist(), *_prefix_sums(y), h.tolist(), lam)
+            want = _numpy_run_values(a, signs, *cs, lam, y.size).tobytes()
+            got = _run_values(a.tolist(), signs.tolist(), *_prefix_sums(y), lam, y.size)
             assert type(got) is list and np.array(got).tobytes() == want
 
     @pytest.mark.parametrize("y", [
@@ -884,9 +890,7 @@ def _numpy_walk(a, alpha, signs, sums, lam, n):
     serves both."""
     a, alpha, signs = np.asarray(a), np.asarray(alpha, dtype=float), np.asarray(signs, dtype=float)
     for _ in range(a.size + 8):
-        h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-        b = np.concatenate((a[1:], [n])) - 1
-        d = np.asarray(pathwise._run_values(a.tolist(), b.tolist(), *sums, h.tolist(), lam)) - alpha
+        d = np.asarray(pathwise._run_values(a.tolist(), signs.tolist(), *sums, lam, n)) - alpha
         diff0 = alpha[1:] - alpha[:-1]
         ddiff = d[1:] - d[:-1]
         hit = np.flatnonzero((ddiff != 0.0) & (signs * (diff0 + ddiff) < 0))
@@ -906,13 +910,12 @@ def _walk_pattern(rng, G):
     with the first boundary unpenalised on half the draws, and a start near
     the exact solve at those signs, each boundary carrying the sign of its
     own step, so the full step flips some of them."""
-    y, a, b, _, _ = _run_pattern(rng, G)
+    y, a, _, _ = _run_pattern(rng, G)
     sums = _prefix_sums(y)
     lam = float(rng.uniform(0.0, 2.0) * 10.0 ** rng.integers(-2, 4))
     signs = rng.choice([-1.0, 1.0], G - 1)
     signs[0] *= rng.integers(0, 2)
-    h = np.concatenate(([0.0], signs)) - np.concatenate((signs, [0.0]))
-    sol = np.array(_run_values(a.tolist(), b.tolist(), *sums, h.tolist(), lam))
+    sol = np.array(_run_values(a.tolist(), signs.tolist(), *sums, lam, y.size))
     alpha = sol + rng.normal(size=G) * np.std(sol) * 10.0 ** rng.uniform(-4, -1)
     steps = np.sign(np.diff(alpha))
     signs = np.where((signs == 0.0) | (steps == 0.0), signs, steps)
@@ -947,7 +950,7 @@ class TestWalk:
         rng = np.random.default_rng(G)
         sizes = []
 
-        def run_values(a, b, cs_y, cs_ty, h, lam):
+        def run_values(a, signs, cs_y, cs_ty, lam, n):
             sizes.append(len(a))
             return target[a].tolist()
 

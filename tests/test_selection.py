@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from trendfilter.core import LambdaPath, PathEntry, TrendFit, extract_kinks
+import dataclasses
+
+from trendfilter import selection
+from trendfilter.core import KINK_TOL, LambdaPath, PathEntry, TimeSeries, TrendFit, extract_kinks
 from trendfilter.kkt import lambda_max
 from trendfilter.pathwise import fit_path
 from trendfilter.selection import (
@@ -18,6 +21,23 @@ from tests.conftest import random_walk
 
 def _fit_for(y, mu, lam):
     return TrendFit.from_mu(y, np.asarray(mu, dtype=float), lam)
+
+
+def _bits(s):
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in dataclasses.astuple(s))
+
+
+def _counting_score(monkeypatch):
+    """Patch ``selection.score`` to count its calls; returns the count list
+    and the real function."""
+    calls, real = [], selection.score
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "score", counting)
+    return calls, real
 
 
 def _path(y, fits):
@@ -136,6 +156,30 @@ class TestSelect:
         for s1, s2 in zip(scores1, scores2):
             assert s2.mc - s1.mc == pytest.approx(2 * math.log(c), abs=1e-6)
             assert s2.sic - s1.sic == pytest.approx(2 * math.log(c), abs=1e-6)
+
+    @pytest.mark.parametrize("as_series", [False, True])
+    def test_stored_scores_reused_on_the_certified_y(self, rng, monkeypatch, as_series):
+        # the path scored every entry as it certified it; select used to
+        # score each entry again
+        y = random_walk(rng, 60)
+        y = TimeSeries(y) if as_series else y
+        path = fit_path(y, default_grid(lambda_max(y), size=12))
+        calls, real = _counting_score(monkeypatch)
+        _, _, scores = select(path, y)
+        assert calls == []
+        assert [_bits(s) for s in scores] == [_bits(real(y, e.fit)) for e in path.entries]
+
+    @pytest.mark.parametrize("case", ["copy-of-y", "other-y", "tol-kink"])
+    def test_scored_from_scratch_otherwise(self, rng, monkeypatch, case):
+        y = random_walk(rng, 60)
+        path = fit_path(y, default_grid(lambda_max(y), size=12))
+        yq, tol = {"copy-of-y": (y.copy(), KINK_TOL),
+                   "other-y": (y + rng.normal(0.0, 1.0, 60), KINK_TOL),
+                   "tol-kink": (y, 1e-4)}[case]
+        calls, real = _counting_score(monkeypatch)
+        _, _, scores = select(path, yq, tol_kink=tol)
+        assert len(calls) == len(path)
+        assert [_bits(s) for s in scores] == [_bits(real(yq, e.fit, tol)) for e in path.entries]
 
     def test_bad_criterion(self, rng):
         y = random_walk(rng, 20)
