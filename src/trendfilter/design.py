@@ -12,6 +12,7 @@ report need. Dense materialization is for reference tests only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,11 @@ class DesignZ:
         if self.n < 1:
             raise InvalidDimensionError("n must be >= 1")
 
+    @cached_property
+    def ramp(self) -> np.ndarray:
+        """0, 1, ..., n-1 as floats, taken once: the slope column of every product."""
+        return np.arange(self.n, dtype=float)
+
     def matvec(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.size != self.n:
@@ -72,7 +78,7 @@ class DesignZ:
         # so a large level b_1 never enters (and cancels in) a cumulative sum.
         out = np.full(self.n, b[0])
         if self.n >= 2:
-            out += b[1] * np.arange(self.n)
+            out += b[1] * self.ramp
             out[2:] += np.cumsum(np.cumsum(b[2:]))
         return out
 

@@ -23,22 +23,21 @@ sweeps for the smearing they leave. A path builds one ``LassoProblem`` and
 sets its ``lam`` per level.
 
 ``active_set_polish``, behind ``fit_path`` and ``fit``, alternates an exact
-solve of the sign-restricted subproblem on the nonzero set, the pathwise
-polish's run-value problem with knots at the active columns, walked by the
-polish's own ``pathwise._walk`` (one O(k) scalar pass per zero-crossing
-step, every tied crossing closing in the same step), with an admission
-step: one ``Z'r`` finds the inactive coordinates that violate |z_j'r| <=
-lam, and only those are re-tested, largest violation first, and stepped in,
-so a round is O(n) plus O(n) per candidate (the screen-then-check working
-set of glmnet and the strong rules). A level ends once a round admits
-nothing, or once its restricted solve returns to a beta the level has held,
-as a pathwise level ends on a repeated state. Adjacent Z columns are so
-collinear that plain cyclic descent cannot reach tight tolerances on its own
-at realistic n, so the polish is where production accuracy comes from.
-mu_hat = Z beta_hat either way.
-``fit_path`` carries one beta down the grid and emits its fits through
-``kkt.certified_path``, which flags a fit converged only when the polish
-converged and its certificate passed.
+solve of the sign-restricted subproblem on the active list (the pathwise
+polish's run-value problem with knots at the active columns, walked by its
+``pathwise._walk``: one O(k) scalar pass per zero-crossing step) with an
+admission step: one ``Z'r`` finds the inactive coordinates that violate
+|z_j'r| <= lam, which are re-tested, largest violation first, and stepped in
+until ``ADMIT_CAP`` have entered, so a round is O(n) plus O(n) per re-test
+(the screen-then-check of the strong rules, in bounded batches like Celer's
+working sets). A level ends once a round admits nothing, or once its
+restricted solve returns to a beta the level has held. Adjacent Z columns
+are so collinear that plain cyclic descent cannot reach tight tolerances on
+its own at realistic n, so the polish is where production accuracy comes
+from. mu_hat = Z beta_hat either way. ``fit_path`` carries one beta and its
+active list down the grid and emits its fits through ``kkt.certified_path``,
+which flags a fit converged only when the polish converged and its
+certificate passed.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
 from .pathwise import _prefix_sums, _walk
 
 MAX_ROUNDS = 200  # a level's cap on polish rounds
+ADMIT_CAP = 4  # a round's cap on admissions
 SWEEPS_PER_RUNG = 15  # budget_path's sweeps per rung; fewer once one moves under BUDGET_TOL
 BUDGET_TOL = 1e-6
 
@@ -61,9 +61,9 @@ class LassoProblem:
     """One per path, with ``lam`` set per level, and the lambda-free O(n) pieces
     every level rereads: y's least-squares line (level, slope) and the prefix
     sums of y less it, the column norms, the Gram block of the unpenalized
-    pair, the ramp 0, 1, ..., n-1, and the lists over j >= 2 that the sweep
-    loop zips over: the positions j as floats, S2(n - j) = ||z_j||^2 and the
-    ramp sums S1(n - j)."""
+    pair, the ramp 0, 1, ..., n-1 (and 1..n centred, for ``affine_fit``), and the
+    lists over j >= 2 that the sweep loop zips over: the positions j as floats,
+    S2(n - j) = ||z_j||^2 and the ramp sums S1(n - j)."""
 
     def __init__(self, y, lam: float):
         yv = as_array(y)
@@ -77,7 +77,10 @@ class LassoProblem:
         self._sums = _prefix_sums(yv - line)  # centred, so a level offset stays out of the sums
         self._norms = self.Z.column_norms_sq()
         self._G2 = self.Z.gram([0, 1])
-        self._t = np.arange(yv.size, dtype=float)
+        self._t = self.Z.ramp
+        self._tbar = (self._t + 1.0).mean()  # exact, so is the centred ramp
+        self._tc = self._t + (1.0 - self._tbar)
+        self._stt = float((self._tc ** 2).sum())
         L = yv.size - self._t[2:]  # n - j: the length of column j's ramp
         self._pos = self._t[2:].tolist()
         self._s2 = self._norms[2:].tolist()
@@ -151,76 +154,83 @@ def _cd_pass(prob, beta, r):
 
 
 def _converge_active(prob, beta, act):
-    """Exactly solve the sign-restricted problem on the active set with
-    ``pathwise._walk``, whose crossings drop columns: runs start at 0, 1 and
-    each active column, on y less its line (l_0, l_1), so the run values
+    """Exactly solve the sign-restricted problem on the ascending active list
+    with ``pathwise._walk``, whose crossings drop columns: runs start at 0, 1
+    and each active column, on y less its line (l_0, l_1), so the run values
     alpha are beta_0 - l_0, beta_1 - l_1, then running sums of beta on
     ``act``, and beta = (alpha_0 + l_0, alpha_1 + l_1, diff(alpha)[1:]).
-    Mutates beta, zero off the affine pair and the columns the walk keeps."""
+    Mutates beta, zero off the affine pair and the columns the walk keeps;
+    returns the nonzero ones, the next active list."""
     (l0, l1), (b0, b1), b = prob._line.tolist(), beta[:2].tolist(), beta[act].tolist()
     alpha = [b0 - l0, *accumulate(b, initial=b1 - l1)]
     signs = [0.0] + [1.0 if v > 0.0 else -1.0 for v in b]  # beta is nonzero on act
-    a, alpha, _ = _walk([0, 1, *act.tolist()], alpha, signs, prob._sums, prob.lam, prob.n)
+    a, alpha, _ = _walk([0, 1, *act], alpha, signs, prob._sums, prob.lam, prob.n)
     beta[act] = 0.0
     beta[a] = [alpha[0] + l0, alpha[1] + l1] + [v - u for u, v in zip(alpha[1:], alpha[2:])]
+    return [j for j in a[2:] if beta[j] != 0.0]
 
 
-def _admit(prob, beta, r):
-    """Admit every inactive coordinate j >= 3 with |z_j'r| > lam: one
-    ``rmatvec`` finds the candidates in O(n), then each, largest violation
-    first, is re-tested on its O(n - j) tail against the residual the earlier
-    admissions left, and enters by a soft-threshold step from zero. Violators
-    come in bands of collinear neighbours, and stepping in a band's peak first
-    clears most of the rest, which the restricted solve would otherwise have to
-    drop again one zero crossing at a time. Mutates beta and r; returns the
-    admitted columns in the order they entered."""
-    lam, nrm, t, n = prob.lam, prob._norms, prob._t, prob.n
-    g = prob.Z.rmatvec(r)
+def _admit(prob, beta, r, act):
+    """Admit up to ``ADMIT_CAP`` coordinates j >= 3 off the active list with
+    |z_j'r| > lam: one double suffix sum of r finds the candidates in O(n);
+    each, largest violation first, is re-tested on its O(n - j) tail against
+    the residual earlier admissions left and enters by a soft-threshold step
+    from zero. Violators come in bands of collinear neighbours; a band's peak,
+    stepped in first, clears most of the rest, which the restricted solve
+    would drop again one crossing at a time. Returns the admitted columns in
+    entry order; mutates beta and r."""
+    lam, s2, t, n = prob.lam, prob._s2, prob._t, prob.n
+    ga = abs(np.cumsum(np.cumsum(r[::-1]))[::-1])  # |z_j'r| for j >= 1
+    ga[[0, 1, *act]] = 0.0
+    cand = (ga > lam).nonzero()[0]
     admitted = []
-    cand = np.flatnonzero((np.abs(g[2:]) > lam) & (beta[2:] == 0.0)) + 2
-    for j in cand[np.argsort(-np.abs(g[cand]), kind="stable")]:
+    for j in cand[(-ga[cand]).argsort(kind="stable")].tolist():
         zj = t[1:n - j + 1]  # column j below its leading zeros: 1, 2, ..., n-j
         rho = float(zj @ r[j:])
         if abs(rho) > lam:
-            beta[j] = np.sign(rho) * (abs(rho) - lam) / nrm[j]
-            r[j:] -= zj * beta[j]
+            beta[j] = b = (rho - lam if rho > 0.0 else rho + lam) / s2[j - 2]
+            r[j:] -= zj * b
             admitted.append(j)
-    return np.array(admitted, dtype=np.intp)
+            if len(admitted) == ADMIT_CAP:
+                break
+    return admitted
 
 
-def active_set_polish(prob: LassoProblem, beta: np.ndarray) -> bool:
-    """Solve the sign-restricted subproblem on the nonzero set exactly, then
-    admit the KKT violators among the other coordinates; repeat until none is
+def active_set_polish(prob: LassoProblem, beta: np.ndarray, act: list):
+    """Solve the sign-restricted subproblem on the active list ``act`` (the
+    ascending nonzero columns of beta past the affine pair) exactly, then
+    admit up to ``ADMIT_CAP`` KKT violators off it; repeat until none is
     admitted. The exact restricted solve replaces inner coordinate cycling,
-    which the column collinearity would stall, and leaves the KKT test on the
-    inactive coordinates as the only job of an admission round, so a round
-    costs O(n) plus O(n) per candidate. An already-optimal fit comes back
-    unchanged. A round is a function of beta, so a restricted solve that lands
-    on a beta the level has held starts a cycle (subgradients at their bound to
-    within round-off, admitted and dropped again) that would repeat forever:
-    the level ends there, and the certificate judges the fit. It ends with an
-    exact O(n) least-squares refit of the affine pair on the last residual,
-    which the round-off of the prefix sums and of Z beta leave off its optimum
-    at large n. Moves a seed beta, zero off its active set, to the fit and
-    returns this polish's own verdict: False only after ``MAX_ROUNDS``
-    rounds. At lam = 0 the fit is y."""
+    which the column collinearity would stall. An already-optimal fit comes
+    back unchanged. A round is a function of beta, so a restricted solve that
+    lands on a beta the level has held starts a cycle (subgradients at their
+    bound to within round-off, admitted and dropped again) that would repeat
+    forever: the level ends there, and the certificate judges the fit. It
+    ends with an exact O(n) least-squares refit of the affine pair on the last
+    residual, which the round-off of the prefix sums and of Z beta leave off
+    its optimum at large n. Moves a seed beta, zero off ``act``, to the fit;
+    returns this polish's own verdict, False only after ``MAX_ROUNDS`` rounds,
+    and the fit's active list. At lam = 0 the fit is y."""
     if prob.lam == 0.0:
         beta[:] = prob.Z.encode(prob.y)
-        return True
+        return True, (np.flatnonzero(beta[2:]) + 2).tolist()
     seen = set()
     converged = False
     for _ in range(MAX_ROUNDS):
-        _converge_active(prob, beta, np.flatnonzero(beta[2:]) + 2)
-        # a 64-bit hash of beta's bytes: a false repeat needs a collision
-        state = hash(beta.tobytes())
+        act = _converge_active(prob, beta, act)
+        # a 64-bit hash of act and of beta on the pair and act: a false repeat needs a collision
+        state = hash((*act, beta[[0, 1, *act]].tobytes()))
         r = prob.y - prob.Z.matvec(beta)
-        if state in seen or not _admit(prob, beta, r).size:
+        if state in seen or not (new := _admit(prob, beta, r, act)):
             converged = True
             break
+        act = sorted(act + new)
         seen.add(state)
-    line = affine_fit(r)  # the unpenalised pair, refit exactly in O(n)
-    beta[:2] += line[0], line[1] - line[0]
-    return converged
+    rbar = r.mean()  # affine_fit(r) on the cached ramp: the pair, refit exactly in O(n)
+    slope = float((prob._tc * (r - rbar)).sum()) / prob._stt
+    c = rbar - slope * prob._tbar
+    beta[:2] += c + slope, (c + slope * 2.0) - (c + slope)
+    return converged, act
 
 
 def fit(y, lam: float) -> TrendFit:
@@ -247,22 +257,19 @@ def budget_path(y, lambda_grid) -> LambdaPath:
     prob = LassoProblem(yv, 0.0)
     beta = prob.Z.encode(yv)
     entries = []
-    warm = False
-    for lam in grid:
+    for i, lam in enumerate(grid):
         prob.lam = lam
         if lam == 0.0:  # the interpolant: residual exactly 0, so selection excludes it
-            fit_l = TrendFit.from_mu(yv, yv.copy(), 0.0, solver="lasso-budget")
+            mu, ok = yv.copy(), True
         else:
             r = yv - prob.Z.matvec(beta)
             for _ in range(SWEEPS_PER_RUNG):
                 if _cd_pass(prob, beta, r) <= BUDGET_TOL:
                     break
-            ok = bool(np.all(np.isfinite(beta)))
-            fit_l = TrendFit.from_mu(yv, prob.Z.matvec(beta), lam, converged=ok,
-                                     solver="lasso-budget")
-        report = check_kkt(yv, fit_l.mu_hat, lam)
-        entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=warm, kkt=report))
-        warm = True
+            mu, ok = prob.Z.matvec(beta), bool(np.all(np.isfinite(beta)))
+        report = check_kkt(yv, mu, lam)  # the fit's objective is read off it
+        fit_l = TrendFit(lam, mu, 0.5 * report.rss + lam * report.dmu_l1, ok, "lasso-budget")
+        entries.append(PathEntry(lam=lam, fit=fit_l, warm_start=i > 0, kkt=report))
     return LambdaPath(entries=tuple(entries))
 
 
@@ -274,10 +281,12 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     yv = finite_array(y)
     prob = LassoProblem(yv, 0.0)
     beta = np.zeros(yv.size)
+    act = []  # the active list each level leaves for the next
 
     def solve(lam):
+        nonlocal act
         prob.lam = lam
-        ok = active_set_polish(prob, beta)
+        ok, act = active_set_polish(prob, beta, act)
         return prob.Z.matvec(beta), ok
 
     return certified_path(yv, lambda_grid, solve, "lasso")

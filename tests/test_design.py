@@ -83,6 +83,21 @@ class TestDesignZ:
         exact = np.array([float(q[0] + q[1] * k + ramps[k]) for k in range(n)])
         assert np.max(np.abs(Z.matvec(b) - exact)) <= 1e-14 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1001])
+    def test_matvec_on_the_cached_ramp_bitwise_equal(self, rng, n):
+        # the slope column is taken once per design, with the bits of a
+        # fresh integer ramp in every product
+        Z = DesignZ(n)
+        for level in (0.0, 1e6, -3.5e-9):
+            b = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, n)
+            b[0] += level
+            ref = np.full(n, b[0])
+            if n >= 2:
+                ref += b[1] * np.arange(n)
+                ref[2:] += np.cumsum(np.cumsum(b[2:]))
+            assert Z.matvec(b).tobytes() == ref.tobytes()
+        assert Z.ramp is Z.ramp and Z.ramp.tolist() == list(range(n))
+
     @given(st.lists(finite_floats, min_size=3, max_size=40))
     def test_encode_decode_roundtrip(self, mu):
         mu = np.array(mu)

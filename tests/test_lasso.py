@@ -7,14 +7,14 @@ import warnings
 
 from trendfilter.core import TrendFit, extract_kinks, objective_value
 from trendfilter.design import DesignZ, InvalidDimensionError, second_diff
-from trendfilter.kkt import affine_fit, check_kkt, lambda_max, oracle_solve
+from trendfilter.kkt import affine_fit, certified_path, check_kkt, lambda_max, oracle_solve
 from trendfilter import lasso, pathwise
 from trendfilter.lasso import (LassoProblem, _admit, _block_ls_step, _cd_pass, _converge_active,
                                active_set_polish, budget_path, fit, fit_path)
 from trendfilter.selection import default_grid, select
 from trendfilter.simulate import PRESETS, NoiseSpec, PiecewiseLinearSpec, add_noise, gen_trend
 from tests.conftest import random_walk
-from tests.test_pathwise import _numpy_walk
+from tests.test_pathwise import _bench_module, _numpy_walk
 
 
 def _noisy(shape, n, snr, seed):
@@ -347,8 +347,9 @@ def _dense_converge_active(prob, beta, act):
 def _numpy_converge_active(prob, beta, act):
     """The restricted solve on numpy arrays, with the numpy walk: beta on
     [0, 1, *act] as centred run values (np.cumsum is a running sum), the
-    walk, and beta written back from the run values. ``_converge_active``
-    must match it bit for bit."""
+    walk, and beta written back from the run values; returns the nonzero
+    columns past the affine pair, read off beta. ``_converge_active`` must
+    match it bit for bit."""
     a = np.concatenate(([0, 1], act)).astype(np.intp)
     alpha = np.concatenate(([beta[0] - prob._line[0]],
                             np.cumsum(np.concatenate(([beta[1] - prob._line[1]], beta[act])))))
@@ -356,6 +357,7 @@ def _numpy_converge_active(prob, beta, act):
     a, alpha, _ = _numpy_walk(a, alpha, signs, prob._sums, prob.lam, prob.n)
     beta[act] = 0.0
     beta[a] = np.concatenate((alpha[:2] + prob._line, np.diff(alpha)[1:]))
+    return (np.flatnonzero(beta[2:]) + 2).tolist()
 
 
 def _walk_case(rng, k):
@@ -456,6 +458,11 @@ def _seed(prob, mu):
     return beta
 
 
+def _active(beta):
+    """The active list of a seed: its nonzero columns past the affine pair."""
+    return (np.flatnonzero(beta[2:]) + 2).tolist()
+
+
 class TestActiveSetPolish:
     def test_optimal_fit_unchanged(self, rng):
         y = random_walk(rng, 30)
@@ -463,7 +470,8 @@ class TestActiveSetPolish:
         prob = LassoProblem(y, lam)
         res = fit(y, lam)
         beta = _seed(prob, res.mu_hat)
-        assert active_set_polish(prob, beta)
+        ok, _ = active_set_polish(prob, beta, _active(beta))
+        assert ok
         polished = prob.Z.matvec(beta)
         assert np.max(np.abs(polished - res.mu_hat)) < 1e-9 * (1 + np.max(np.abs(y)))
 
@@ -472,7 +480,7 @@ class TestActiveSetPolish:
         lam = 1.5 * lambda_max(y)
         prob = LassoProblem(y, lam)
         beta = _seed(prob, cd_fit(prob, tol=1e-4, max_iter=5).mu_hat)
-        active_set_polish(prob, beta)
+        active_set_polish(prob, beta, _active(beta))
         mu = prob.Z.matvec(beta)
         assert np.max(np.abs(beta[2:])) < 1e-10 * (1 + np.max(np.abs(beta)))
         assert np.max(np.abs(mu - affine_fit(y))) < 1e-8 * (1 + np.max(np.abs(y)))
@@ -486,7 +494,7 @@ class TestActiveSetPolish:
         prob = LassoProblem(y, lam)
         seeded = cd_fit(prob, tol=1e-4, max_iter=40)
         beta = _seed(prob, seeded.mu_hat)
-        active_set_polish(prob, beta)
+        active_set_polish(prob, beta, _active(beta))
         polished = prob.Z.matvec(beta)
         slow = cd_fit(prob, beta_init=prob.Z.encode(polished), tol=1e-14, max_iter=200)
         assert np.max(np.abs(polished - slow.mu_hat)) <= 1e-8 * (1 + np.max(np.abs(y)))
@@ -597,7 +605,7 @@ class TestLassoPath:
         r = y - Zd @ beta
         g = Zd.T @ r
         violators = [j for j in range(2, 40) if abs(g[j]) > prob.lam]
-        admitted = list(_admit(prob, beta, r))
+        admitted = _admit(prob, beta, r, [])
         peak = max(violators, key=lambda j: abs(g[j]))
         assert admitted[0] == peak and set(admitted) <= set(violators)
         assert np.flatnonzero(beta[2:]).tolist() == sorted(j - 2 for j in admitted)
@@ -610,12 +618,151 @@ class TestLassoPath:
         beta = prob.Z.encode(fit(y, lam).mu_hat)
         beta[2:][np.abs(beta[2:]) < 1e-12 * np.max(np.abs(beta))] = 0.0
         r = y - prob.Z.matvec(beta)
-        assert _admit(prob, beta, r).size == 0
+        assert _admit(prob, beta, r, _active(beta)) == []
 
     def test_grid_validation(self, rng):
         y = random_walk(rng, 10)
         with pytest.raises(ValueError):
             fit_path(y, [3.0, 2.0])
+
+
+def _uncapped_admit(prob, beta, r):
+    """The admission round with no cap, candidates screened off beta: every
+    inactive violator, largest first, re-tested on its tail and stepped in
+    on numpy scalars. Returns the admitted columns as an array."""
+    lam, nrm, t, n = prob.lam, prob._norms, prob._t, prob.n
+    g = prob.Z.rmatvec(r)
+    admitted = []
+    cand = np.flatnonzero((np.abs(g[2:]) > lam) & (beta[2:] == 0.0)) + 2
+    for j in cand[np.argsort(-np.abs(g[cand]), kind="stable")]:
+        zj = t[1:n - j + 1]
+        rho = float(zj @ r[j:])
+        if abs(rho) > lam:
+            beta[j] = np.sign(rho) * (abs(rho) - lam) / nrm[j]
+            r[j:] -= zj * beta[j]
+            admitted.append(j)
+    return np.array(admitted, dtype=np.intp)
+
+
+def _vector_polish(prob, beta):
+    """The polish with its level held as the n-vector beta: the active set
+    read off beta each round, the repeat digest over all n bytes, Z beta by
+    ``DesignZ.matvec``, ``_uncapped_admit`` and the closing refit by
+    ``affine_fit``. Returns its verdict."""
+    if prob.lam == 0.0:
+        beta[:] = prob.Z.encode(prob.y)
+        return True
+    seen = set()
+    converged = False
+    for _ in range(lasso.MAX_ROUNDS):
+        _converge_active(prob, beta, np.flatnonzero(beta[2:]) + 2)
+        state = hash(beta.tobytes())
+        r = prob.y - prob.Z.matvec(beta)
+        if state in seen or not _uncapped_admit(prob, beta, r).size:
+            converged = True
+            break
+        seen.add(state)
+    line = affine_fit(r)
+    beta[:2] += line[0], line[1] - line[0]
+    return converged
+
+
+def _vector_fit_path(y, grid):
+    """``fit_path`` on ``_vector_polish``."""
+    prob = LassoProblem(y, 0.0)
+    beta = np.zeros(y.size)
+
+    def solve(lam):
+        prob.lam = lam
+        ok = _vector_polish(prob, beta)
+        return prob.Z.matvec(beta), ok
+
+    return certified_path(y, grid, solve, "lasso")
+
+
+def _entry_records(path):
+    return [(e.fit.mu_hat.tobytes(), e.fit.objective.hex(), e.fit.converged, e.warm_start,
+             repr(e.kkt), repr(e.score)) for e in path.entries]
+
+
+class TestBoundedAdmission:
+    """A round admits at most ``ADMIT_CAP`` columns, and the level is held as
+    its active list."""
+
+    @pytest.mark.parametrize("case", ["lasso-series-1", "offset-level", "rounded"])
+    def test_uncapped_path_bitwise_equal_to_the_vector_level(self, monkeypatch, case):
+        # with the cap past n, the active list, its digest, the cached ramp
+        # and the stored refit sums change no bit of any entry
+        if case == "lasso-series-1":
+            series = _bench_module(monkeypatch, "workloads").lasso_series(1)
+        else:
+            base = _bench_module(monkeypatch, "inputs").noisy_series("example2", 400, 400.0,
+                                                                     (5, 0, 0))
+            series = [base + 1e6 if case == "offset-level" else np.round(base / 5.0) * 5.0]
+        monkeypatch.setattr(lasso, "ADMIT_CAP", max(y.size for y in series) + 1)
+        for y in series:
+            grid = default_grid(lambda_max(y))
+            assert _entry_records(fit_path(y, grid)) == _entry_records(_vector_fit_path(y, grid))
+
+    def test_capped_path_bitwise_equal_on_the_benchmark_series(self, monkeypatch):
+        # on these series the cap moves no fit: the benchmark's figures stay put
+        for y in _bench_module(monkeypatch, "workloads").lasso_series(1):
+            grid = default_grid(lambda_max(y))
+            assert _entry_records(fit_path(y, grid)) == _entry_records(_vector_fit_path(y, grid))
+
+    @pytest.mark.parametrize("cap", [1, lasso.ADMIT_CAP])
+    def test_admits_at_most_the_cap_largest_violation_first(self, monkeypatch, cap):
+        # from the affine fit at a small lambda the uncapped round admits many
+        # columns; the capped round admits the first cap of them, in order
+        y = _noisy("example2", 500, 400.0, (1, 0, 0))
+        prob = LassoProblem(y, lambda_max(y) / 1000)
+        beta = np.zeros(y.size)
+        beta[:2] = prob._line
+        r = y - prob.Z.matvec(beta)
+        b_ref, r_ref = beta.copy(), r.copy()
+        uncapped = _uncapped_admit(prob, b_ref, r_ref).tolist()
+        assert len(uncapped) > lasso.ADMIT_CAP
+        g = np.abs(prob.Z.rmatvec(r))
+        monkeypatch.setattr(lasso, "ADMIT_CAP", cap)
+        admitted = _admit(prob, beta, r, [])
+        assert admitted == uncapped[:cap]
+        assert admitted[0] == 2 + int(np.argmax(g[2:]))
+        assert all(g[i] >= g[j] for i, j in zip(admitted, admitted[1:]))
+        assert np.flatnonzero(beta[2:]).tolist() == sorted(j - 2 for j in admitted)
+        assert np.allclose(r, y - prob.Z.matvec(beta), atol=1e-9 * (1 + np.max(np.abs(y))))
+
+    def test_round_skips_the_active_list(self):
+        # a column on the active list is never a candidate, whatever its |z_j'r|
+        y = _noisy("example2", 300, 400.0, (1, 0, 0))
+        prob = LassoProblem(y, lambda_max(y) / 100)
+        beta = np.zeros(y.size)
+        beta[:2] = prob._line
+        r = y - prob.Z.matvec(beta)
+        first = _admit(prob, beta.copy(), r.copy(), [])
+        again = _admit(prob, beta.copy(), r.copy(), first)
+        assert first and not set(first) & set(again)
+
+    def test_polish_returns_the_active_list(self):
+        y = _noisy("example2", 300, 400.0, (1, 0, 0))
+        prob = LassoProblem(y, lambda_max(y) / 100)
+        beta = np.zeros(y.size)
+        ok, act = active_set_polish(prob, beta, [])
+        assert ok and act == _active(beta)
+
+    def test_budget_path_never_calls_from_mu(self, monkeypatch):
+        # each entry's fit is read off its one certificate pass
+        y = _noisy("example2", 500, 400.0, (1, 0))
+        grid = default_grid(lambda_max(y))
+
+        def no_from_mu(*args, **kwargs):
+            raise AssertionError("budget_path called TrendFit.from_mu")
+
+        monkeypatch.setattr(TrendFit, "from_mu", no_from_mu)
+        path = budget_path(y, grid)
+        assert len(path) == 61
+        for e in path.entries:
+            assert e.fit.objective.hex() == objective_value(y, e.fit.mu_hat, e.lam).hex()
+            assert e.fit.solver == "lasso-budget" and e.fit.converged
 
 
 class TestNonFiniteSeries:
