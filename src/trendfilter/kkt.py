@@ -13,7 +13,8 @@ ill-conditioned normal equations of D'.
 The same pass yields the residual sum of squares, ||D mu||_1 and the kink
 count, so :func:`certified_path`, through which both certified routes emit
 their paths, takes each entry's certificate, objective and selection score
-from one call; the lasso route's single fits descend :func:`fit_ladder`.
+from one call. A single fit on either route is the one-level path at its
+lambda, solved from the affine fit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ SIGN_SLACK = 0.01
 
 ORACLE_MAX_ITER = 5_000_000
 
-LADDER_RATIO = 2.5  # a single lasso fit's ladder grows by this factor per rung
+ROUNDS_PER_POINT = 10  # either route's level stops, unconverged, after this times n rounds
 
 
 class OracleBudgetError(RuntimeError):
@@ -126,27 +127,16 @@ def lambda_max(y) -> float:
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
-def fit_ladder(lam: float, lmax: float) -> list[float]:
-    """The grid of a single lasso-route fit at lam: lam, 2.5 lam, ... (each
-    below lmax), then lmax, so the solve descends from the affine fit. For
-    lam <= 0 or lam >= lmax the ladder is lam alone."""
-    ladder = [lam]
-    if 0 < lam < lmax:
-        while ladder[-1] * LADDER_RATIO < lmax:
-            ladder.append(ladder[-1] * LADDER_RATIO)
-        ladder.append(lmax)
-    return ladder
-
-
 def certified_path(y, lambda_grid, solve, solver: str) -> LambdaPath:
     """Fit every lambda on a strictly increasing grid, from its largest lambda
     down (the pathwise scheme of Friedman, Hastie, Hoefling & Tibshirani 2007).
 
     ``solve(lam)`` returns ``(mu, ok)``, warm-started from the rung above,
-    with ``ok`` its own stopping rule's verdict; it is never called at
-    lam = 0, where the fit is y itself. Each entry takes one
-    :func:`check_kkt` pass: its certificate, its objective 0.5 rss +
-    lam ||D mu||_1 (the float operations of ``core.objective_value``) and its
+    with ``ok`` its own stopping rule's verdict, False once the level has run
+    ``ROUNDS_PER_POINT * n`` rounds; it is never called at lam = 0, where the
+    fit is y itself. Each entry takes one :func:`check_kkt` pass: its
+    certificate, its objective 0.5 rss + lam ||D mu||_1 (the float
+    operations of ``core.objective_value``) and its
     ``selection.SelectionScore`` at ``KINK_TOL``, which ``select`` reuses for
     this y. An entry is flagged converged only when ``ok`` holds and the
     certificate passed. Entries come back in ascending order; the path keeps

@@ -37,7 +37,7 @@ its own at realistic n, so the polish is where production accuracy comes
 from. mu_hat = Z beta_hat either way. ``fit_path`` carries one beta and its
 active list down the grid and emits its fits through ``kkt.certified_path``,
 which flags a fit converged only when the polish converged and its
-certificate passed.
+certificate passed; ``fit`` is the one-level path, from beta = 0.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ import numpy as np
 
 from .core import LambdaPath, PathEntry, TrendFit, as_array, finite_array, validate_grid
 from .design import DesignZ
-from .kkt import affine_fit, certified_path, check_kkt, fit_ladder, lambda_max
+from .kkt import ROUNDS_PER_POINT, affine_fit, certified_path, check_kkt
 from .pathwise import _prefix_sums, _walk
 
-MAX_ROUNDS = 200  # a level's cap on polish rounds
 ADMIT_CAP = 4  # a round's cap on admissions
 SWEEPS_PER_RUNG = 15  # budget_path's sweeps per rung; fewer once one moves under BUDGET_TOL
 BUDGET_TOL = 1e-6
@@ -208,15 +207,12 @@ def active_set_polish(prob: LassoProblem, beta: np.ndarray, act: list):
     forever: the level ends there, and the certificate judges the fit. It
     ends with an exact O(n) least-squares refit of the affine pair on the last
     residual, which the round-off of the prefix sums and of Z beta leave off
-    its optimum at large n. Moves a seed beta, zero off ``act``, to the fit;
-    returns this polish's own verdict, False only after ``MAX_ROUNDS`` rounds,
-    and the fit's active list. At lam = 0 the fit is y."""
-    if prob.lam == 0.0:
-        beta[:] = prob.Z.encode(prob.y)
-        return True, (np.flatnonzero(beta[2:]) + 2).tolist()
+    its optimum at large n. Moves a seed beta, zero off ``act``, to the fit at
+    lam > 0; returns this polish's own verdict, False only after
+    ``kkt.ROUNDS_PER_POINT * n`` rounds, and the fit's active list."""
     seen = set()
     converged = False
-    for _ in range(MAX_ROUNDS):
+    for _ in range(ROUNDS_PER_POINT * prob.n):
         act = _converge_active(prob, beta, act)
         # a 64-bit hash of act and of beta on the pair and act: a false repeat needs a collision
         state = hash((*act, beta[[0, 1, *act]].tobytes()))
@@ -234,10 +230,8 @@ def active_set_polish(prob: LassoProblem, beta: np.ndarray, act: list):
 
 
 def fit(y, lam: float) -> TrendFit:
-    """The lam entry of :func:`fit_path` on ``kkt.fit_ladder(lam, lambda_max(y))``,
-    so the solve is warm-started down from the affine fit."""
-    yv = finite_array(y)
-    return fit_path(yv, fit_ladder(lam, lambda_max(yv))).entries[0].fit
+    """Solve at a single penalty: one level of :func:`fit_path`, from beta = 0."""
+    return fit_path(y, [lam]).entries[0].fit
 
 
 def budget_path(y, lambda_grid) -> LambdaPath:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LambdaPath, TrendFit, finite_array
-from .kkt import affine_fit, certified_path
+from .kkt import ROUNDS_PER_POINT, affine_fit, certified_path
 from .kkt import check_kkt, lambda_max  # noqa: F401  bench/spans.py patches these names here
 
 # The split scan cuts where |g| > lam * (1 + SPLIT_SLACK). The margin
@@ -53,8 +53,6 @@ from .kkt import check_kkt, lambda_max  # noqa: F401  bench/spans.py patches the
 # 7.2e-4 * (1 + max|y|) apart and 1e-9 up to 4.3e-6, against the benchmark's
 # bound of 1e-6; 1e-11 agrees to 1.8e-9.
 SPLIT_SLACK = 1e-11
-
-ROUNDS_PER_POINT = 10  # a level's round cap is this times n
 
 
 @dataclass
@@ -203,17 +201,18 @@ def _structure_polish(y, S, V, lam, sums, cuts, cut_signs):
     return (*_runs(a, alpha, y.size), full)
 
 
-def _solve_at(y, S, V, mu, lam, sums, max_rounds, g=None):
+def _solve_at(y, S, V, mu, lam, sums, g=None):
     """Rounds of split scan (chooses cuts) and structure polish (splits the
     runs at them, solves every run value, merges runs) at a fixed lambda from
     the runs S, V and their mu; returns them with ok and a scan seed. ok is
     True once a scan after a finished polish at this lambda chooses no cut,
     or once a round starts on runs the level has held: a round is a function
-    of them, so the cycle would repeat forever. False after ``max_rounds``
-    rounds. A level that ends on its rule seeds the next level's first scan
-    with the g of its last scan, taken on the mu it returns; else None."""
+    of them, so the cycle would repeat forever. False after
+    ``kkt.ROUNDS_PER_POINT * n`` rounds. A level that ends on its rule seeds
+    the next level's first scan with the g of its last scan, taken on the mu
+    it returns; else None."""
     seen, finished = set(), False
-    for _ in range(max_rounds):
+    for _ in range(ROUNDS_PER_POINT * y.size):
         # a 64-bit hash of the runs, the slopes by their bytes (the float hash
         # equates -0.0 and 0.0): a false repeat needs a collision
         state = hash((*S, np.array(V).tobytes()))
@@ -238,7 +237,8 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     ``kkt.certified_path``, starting from the affine least-squares fit (exact
     at and above lambda_max) and warm-starting each level from the next larger
     one. A level's own verdict is that it met the stopping rule within
-    10 * n rounds; the path continues past a level that did not.
+    ``kkt.ROUNDS_PER_POINT * n`` rounds, the lasso route's cap too; the path
+    continues past a level that did not.
     """
     yv = finite_array(y)
     line = affine_fit(yv)
@@ -249,7 +249,7 @@ def fit_path(y, lambda_grid) -> LambdaPath:
 
     def solve(lam):
         nonlocal S, V, mu, g
-        S, V, mu, ok, g = _solve_at(yv, S, V, mu, lam, sums, ROUNDS_PER_POINT * yv.size, g)
+        S, V, mu, ok, g = _solve_at(yv, S, V, mu, lam, sums, g)
         return mu, ok
 
     return certified_path(yv, lambda_grid, solve, "pathwise")

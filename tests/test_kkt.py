@@ -13,7 +13,6 @@ from trendfilter.kkt import (
     affine_fit,
     certified_path,
     check_kkt,
-    fit_ladder,
     lambda_max,
     oracle_solve,
     subgradient_times_lambda,
@@ -219,16 +218,6 @@ class TestOnePassPerEntry:
                 assert _bits(e.fit.objective) == _bits(objective_value(y, mu, e.lam))
                 assert _bits(e.kkt) == _bits(check_kkt(y, mu, e.lam))
                 assert _bits(e.score) == _bits(score(y, e.fit))
-
-
-class TestFitLadder:
-    @pytest.mark.parametrize("lam", [-1.0, 0.0, 10.0, 12.0])
-    def test_lam_alone_outside_the_open_range(self, lam):
-        assert fit_ladder(lam, 10.0) == [lam]
-
-    def test_rungs_grow_by_the_ratio_up_to_lmax(self):
-        assert fit_ladder(1.0, 10.0) == [1.0, 2.5, 6.25, 10.0]
-        assert fit_ladder(4.0, 10.0) == [4.0, 10.0]  # 4 * 2.5 is not below lmax
 
 
 class TestOracle:

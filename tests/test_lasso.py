@@ -654,7 +654,7 @@ def _vector_polish(prob, beta):
         return True
     seen = set()
     converged = False
-    for _ in range(lasso.MAX_ROUNDS):
+    for _ in range(lasso.ROUNDS_PER_POINT * prob.n):
         _converge_active(prob, beta, np.flatnonzero(beta[2:]) + 2)
         state = hash(beta.tobytes())
         r = prob.y - prob.Z.matvec(beta)
@@ -763,6 +763,24 @@ class TestBoundedAdmission:
         for e in path.entries:
             assert e.fit.objective.hex() == objective_value(y, e.fit.mu_hat, e.lam).hex()
             assert e.fit.solver == "lasso-budget" and e.fit.converged
+
+
+class TestRoundCap:
+    """A level stops after ``kkt.ROUNDS_PER_POINT * n`` rounds, as on the
+    pathwise route. A fixed cap of 200 rounds of at most ``ADMIT_CAP``
+    admissions let a level admit at most 800 columns, and these one-level
+    fits near interpolation stopped there, unconverged."""
+
+    def test_white_noise_level_near_interpolation_is_certified(self):
+        y = np.random.default_rng(7).normal(size=1000)
+        e = fit_path(y, [1e-6 * lambda_max(y)]).entries[0]
+        assert e.fit.converged and e.kkt.passed
+
+    def test_noisy_example2_single_fit_is_certified(self):
+        y = _noisy("example2", 3000, 25.0, 1)
+        lam = 1e-6 * lambda_max(y)
+        res = fit(y, lam)
+        assert res.converged and check_kkt(y, res.mu_hat, lam).passed
 
 
 class TestNonFiniteSeries:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendfilter import kkt, pathwise
+from trendfilter import kkt, lasso, pathwise
 from trendfilter.core import extract_kinks, objective_value
 from trendfilter.kkt import KktReport, affine_fit, check_kkt, lambda_max, oracle_solve
 from trendfilter.pathwise import (
@@ -159,7 +159,7 @@ def _fused_states(y, fracs):
     out = [(y, state.nu.copy(), state.resid.copy(), fracs[0] * lmax)]
     S, V, mu = _level(state.nu)
     for frac, nxt in zip(fracs, fracs[1:]):
-        S, V, mu, _, _ = _solve_at(y, S, V, mu, frac * lmax, sums, 10 * y.size)
+        S, V, mu, _, _ = _solve_at(y, S, V, mu, frac * lmax, sums)
         nu = _nu(S, V, y.size)
         out.append((y, nu, y - np.cumsum(nu), nxt * lmax))
     return out
@@ -435,7 +435,7 @@ class TestFitPath:
         mu_star = oracle_solve(y, lam, tol=1e-14 * (1 + y @ y))
         f_star = objective_value(y, mu_star, lam)
         for trial in range(5):
-            mu = _solve_at(y, *_level(rng.normal(size=6)), lam, _prefix_sums(y), 600)[2]
+            mu = _solve_at(y, *_level(rng.normal(size=6)), lam, _prefix_sums(y))[2]
             f = objective_value(y, mu, lam)
             assert f == pytest.approx(f_star, rel=1e-6)
 
@@ -744,27 +744,38 @@ def _single_fit_series(case):
     return np.random.default_rng(7).normal(size=300)
 
 
+def _ladder(lam, lmax):
+    """The continuation grid a single fit used to descend, as the reference:
+    lam, 2.5 lam, 6.25 lam, ... below lmax, then lmax."""
+    grid = [lam]
+    while grid[-1] * 2.5 < lmax:
+        grid.append(grid[-1] * 2.5)
+    return grid + [lmax]
+
+
 class TestSingleFit:
+    route, level = pathwise, "_solve_at"  # a route's module and the name of its level solve
+
     def test_one_level_and_one_certificate(self, monkeypatch):
         # a single fit solves at its lambda from the affine fit; it used to
-        # descend kkt.fit_ladder and solve and certify every rung
+        # descend a continuation ladder and solve and certify every rung
         y = _planted_series(np.random.default_rng([1, 2, 0]))
         calls = {"solve": 0, "kkt": 0}
-        solve_at, check = pathwise._solve_at, kkt.check_kkt
+        solve, check = getattr(self.route, self.level), kkt.check_kkt
 
         def counting_solve(*args):
             calls["solve"] += 1
-            return solve_at(*args)
+            return solve(*args)
 
         def counting_check(*args, **kwargs):
             calls["kkt"] += 1
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(pathwise, "_solve_at", counting_solve)
+        monkeypatch.setattr(self.route, self.level, counting_solve)
         monkeypatch.setattr(kkt, "check_kkt", counting_check)
         lam = 1e-2 * lambda_max(y)
-        assert len(kkt.fit_ladder(lam, lambda_max(y))) > 1
-        assert fit(y, lam).converged
+        assert len(_ladder(lam, lambda_max(y))) > 1
+        assert self.route.fit(y, lam).converged
         assert calls == {"solve": 1, "kkt": 1}
 
     @pytest.mark.parametrize("case", ["planted", "step", "spike", "rounded", "white-noise"])
@@ -774,10 +785,14 @@ class TestSingleFit:
         lmax = lambda_max(y)
         for rel in (1e-6, 1e-4, 1e-2):
             lam = rel * lmax
-            got = fit(y, lam)
-            want = fit_path(y, kkt.fit_ladder(lam, lmax)).entries[0].fit
+            got = self.route.fit(y, lam)
+            want = self.route.fit_path(y, _ladder(lam, lmax)).entries[0].fit
             assert np.max(np.abs(got.mu_hat - want.mu_hat)) <= 1e-12 * (1 + np.max(np.abs(y))), rel
             assert got.converged == want.converged, rel
+
+
+class TestLassoSingleFit(TestSingleFit):
+    route, level = lasso, "active_set_polish"
 
 
 def _tridiag_solve(off, diag, rhs):
@@ -997,7 +1012,6 @@ class TestNonFiniteSeries:
 class TestSolverAgreement:
     @pytest.mark.parametrize("n", [20, 50, 120])
     def test_pathwise_matches_lasso(self, rng, n):
-        from trendfilter import lasso
         y = random_walk(rng, n)
         lmax = lambda_max(y)
         for frac in (0.05, 0.4, 1.0):
@@ -1011,7 +1025,6 @@ class TestSolverAgreement:
         # a polish that fused the unpenalised boundary at index 1 into one run
         # solved under a false constraint: at 0.05 of lambda_max the fit
         # failed its certificate with a ratio of 189
-        from trendfilter import lasso
         y = np.arange(1.0, 21.0)
         y[:3] += [1.0, -2.0, 1.0]
         lmax = lambda_max(y)
@@ -1024,7 +1037,6 @@ class TestSolverAgreement:
     def test_paths_agree_on_a_low_noise_series(self):
         # with a split margin of 1e-7 this path strays from the lasso route by
         # more than the bound (by 4.0e-5 at entry 53 with a descent sweep)
-        from trendfilter import lasso
         y = add_noise(gen_trend(example1(n=500)), NoiseSpec(snr=1e4, seed=(1, 0, 0))).y
         grid = default_grid(lambda_max(y))
         scale = 1 + np.max(np.abs(y))
