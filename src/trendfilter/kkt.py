@@ -14,7 +14,7 @@ The same pass yields the residual sum of squares, ||D mu||_1 and the kink
 count, so :func:`certified_path`, through which both certified routes emit
 their paths, takes each entry's certificate, objective and selection score
 from one call. A single fit on either route is the one-level path at its
-lambda, solved from the affine fit.
+lambda, solved from the affine fit. One :func:`level` loop runs every level.
 """
 
 from __future__ import annotations
@@ -34,7 +34,23 @@ SIGN_SLACK = 0.01
 
 ORACLE_MAX_ITER = 5_000_000
 
-ROUNDS_PER_POINT = 10  # either route's level stops, unconverged, after this times n rounds
+ROUNDS_PER_POINT = 10  # a level stops, unconverged, after this times n rounds
+
+
+def level(key, step, n: int) -> bool:
+    """The rounds of one level, on either certified route. The state
+    ``key()`` is hashed before each round (64 bits: a false repeat needs a
+    collision); rounds are deterministic, so a held state would cycle forever,
+    and the level ends there unstepped. ``step()`` makes one round and says
+    whether the route's own rule ended the level. True on either exit, False
+    after ``ROUNDS_PER_POINT * n`` rounds."""
+    seen = set()
+    for _ in range(ROUNDS_PER_POINT * n):
+        state = hash(key())
+        if state in seen or step():
+            return True
+        seen.add(state)
+    return False
 
 
 class OracleBudgetError(RuntimeError):
@@ -132,11 +148,10 @@ def certified_path(y, lambda_grid, solve, solver: str) -> LambdaPath:
     down (the pathwise scheme of Friedman, Hastie, Hoefling & Tibshirani 2007).
 
     ``solve(lam)`` returns ``(mu, ok)``, warm-started from the rung above,
-    with ``ok`` its own stopping rule's verdict, False once the level has run
-    ``ROUNDS_PER_POINT * n`` rounds; it is never called at lam = 0, where the
-    fit is y itself. Each entry takes one :func:`check_kkt` pass: its
-    certificate, its objective 0.5 rss + lam ||D mu||_1 (the float
-    operations of ``core.objective_value``) and its
+    with ``ok`` the verdict of its :func:`level`; it is never called at
+    lam = 0, where the fit is y itself. Each entry takes one
+    :func:`check_kkt` pass: its certificate, its objective 0.5 rss + lam
+    ||D mu||_1 (the float operations of ``core.objective_value``) and its
     ``selection.SelectionScore`` at ``KINK_TOL``, which ``select`` reuses for
     this y. An entry is flagged converged only when ``ok`` holds and the
     certificate passed. Entries come back in ascending order; the path keeps

@@ -30,14 +30,14 @@ admission step: one ``Z'r`` finds the inactive coordinates that violate
 |z_j'r| <= lam, which are re-tested, largest violation first, and stepped in
 until ``ADMIT_CAP`` have entered, so a round is O(n) plus O(n) per re-test
 (the screen-then-check of the strong rules, in bounded batches like Celer's
-working sets). A level ends once a round admits nothing, or once its
-restricted solve returns to a beta the level has held. Adjacent Z columns
-are so collinear that plain cyclic descent cannot reach tight tolerances on
-its own at realistic n, so the polish is where production accuracy comes
-from. mu_hat = Z beta_hat either way. ``fit_path`` carries one beta and its
-active list down the grid and emits its fits through ``kkt.certified_path``,
-which flags a fit converged only when the polish converged and its
-certificate passed; ``fit`` is the one-level path, from beta = 0.
+working sets). In ``kkt.level``, as on the pathwise route, a level ends once a
+round admits nothing, or on a beta it has held. Adjacent Z columns are so
+collinear that plain cyclic descent cannot reach tight tolerances on its own
+at realistic n, so the polish is where production accuracy comes from.
+mu_hat = Z beta_hat either way. ``fit_path`` carries one beta and its active
+list down the grid and emits its fits through ``kkt.certified_path``, which
+flags a fit converged only when its level converged and its certificate
+passed; ``fit`` is the one-level path, from beta = 0.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .core import LambdaPath, PathEntry, TrendFit, as_array, finite_array, validate_grid
 from .design import DesignZ
-from .kkt import ROUNDS_PER_POINT, affine_fit, certified_path, check_kkt
+from .kkt import affine_fit, certified_path, check_kkt, level
 from .pathwise import _prefix_sums, _walk
 
 ADMIT_CAP = 4  # a round's cap on admissions
@@ -127,7 +127,7 @@ def _cd_pass(prob, beta, r):
     change."""
     lam, n = prob.lam, prob.n
     maxrel = _block_ls_step(prob, beta, r)
-    g = np.cumsum(np.cumsum(r[::-1]))[::-1].tolist()  # g[j] = z_j'r for j >= 1
+    g = prob.Z.rmatvec(r).tolist()  # g[j] = z_j'r
     b = beta.tolist()
     nlam = -lam
     D0 = D1 = 0.0
@@ -163,7 +163,7 @@ def _converge_active(prob, beta, act):
     (l0, l1), (b0, b1), b = prob._line.tolist(), beta[:2].tolist(), beta[act].tolist()
     alpha = [b0 - l0, *accumulate(b, initial=b1 - l1)]
     signs = [0.0] + [1.0 if v > 0.0 else -1.0 for v in b]  # beta is nonzero on act
-    a, alpha, _ = _walk([0, 1, *act], alpha, signs, prob._sums, prob.lam, prob.n)
+    a, alpha = _walk([0, 1, *act], alpha, signs, prob._sums, prob.lam, prob.n)
     beta[act] = 0.0
     beta[a] = [alpha[0] + l0, alpha[1] + l1] + [v - u for u, v in zip(alpha[1:], alpha[2:])]
     return [j for j in a[2:] if beta[j] != 0.0]
@@ -179,7 +179,7 @@ def _admit(prob, beta, r, act):
     would drop again one crossing at a time. Returns the admitted columns in
     entry order; mutates beta and r."""
     lam, s2, t, n = prob.lam, prob._s2, prob._t, prob.n
-    ga = abs(np.cumsum(np.cumsum(r[::-1]))[::-1])  # |z_j'r| for j >= 1
+    ga = abs(prob.Z.rmatvec(r))  # |z_j'r|
     ga[[0, 1, *act]] = 0.0
     cand = (ga > lam).nonzero()[0]
     admitted = []
@@ -197,31 +197,27 @@ def _admit(prob, beta, r, act):
 
 def active_set_polish(prob: LassoProblem, beta: np.ndarray, act: list):
     """Solve the sign-restricted subproblem on the active list ``act`` (the
-    ascending nonzero columns of beta past the affine pair) exactly, then
-    admit up to ``ADMIT_CAP`` KKT violators off it; repeat until none is
-    admitted. The exact restricted solve replaces inner coordinate cycling,
-    which the column collinearity would stall. An already-optimal fit comes
-    back unchanged. A round is a function of beta, so a restricted solve that
-    lands on a beta the level has held starts a cycle (subgradients at their
-    bound to within round-off, admitted and dropped again) that would repeat
-    forever: the level ends there, and the certificate judges the fit. It
-    ends with an exact O(n) least-squares refit of the affine pair on the last
-    residual, which the round-off of the prefix sums and of Z beta leave off
-    its optimum at large n. Moves a seed beta, zero off ``act``, to the fit at
-    lam > 0; returns this polish's own verdict, False only after
-    ``kkt.ROUNDS_PER_POINT * n`` rounds, and the fit's active list."""
-    seen = set()
-    converged = False
-    for _ in range(ROUNDS_PER_POINT * prob.n):
-        act = _converge_active(prob, beta, act)
-        # a 64-bit hash of act and of beta on the pair and act: a false repeat needs a collision
-        state = hash((*act, beta[[0, 1, *act]].tobytes()))
+    ascending nonzero columns of beta past the affine pair) exactly; then, in
+    ``kkt.level``, admit up to ``ADMIT_CAP`` KKT violators off it and solve
+    again, until none is admitted. The exact restricted solve replaces inner
+    coordinate cycling, which the column collinearity would stall. The level's
+    state is act and beta on the pair and act, after each solve. An exact O(n)
+    least-squares refit of the affine pair on the last residual closes it, as
+    the round-off of the prefix sums and of Z beta leaves the pair off its
+    optimum at large n. Moves a seed beta, zero off ``act``, to the fit at
+    lam > 0; returns the level's verdict and the fit's active list."""
+    act = _converge_active(prob, beta, act)
+    r = prob.y - prob.Z.matvec(beta)
+
+    def step():
+        nonlocal act, r
+        if not (new := _admit(prob, beta, r, act)):
+            return True
+        act = _converge_active(prob, beta, sorted(act + new))
         r = prob.y - prob.Z.matvec(beta)
-        if state in seen or not (new := _admit(prob, beta, r, act)):
-            converged = True
-            break
-        act = sorted(act + new)
-        seen.add(state)
+        return False
+
+    converged = level(lambda: (*act, beta[[0, 1, *act]].tobytes()), step, prob.n)
     rbar = r.mean()  # affine_fit(r) on the cached ramp: the pair, refit exactly in O(n)
     slope = float((prob._tc * (r - rbar)).sum()) / prob._stt
     c = rbar - slope * prob._tbar

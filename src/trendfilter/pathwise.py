@@ -24,16 +24,15 @@ active-set method in the manner of Hoefling 2010:
 
 A level holds nu as its runs: the starts S (0, then each position where the
 slope changes) and slopes V, Python lists, with mu = cumsum(nu). The polish is
-exact, so no round evaluates the objective. A level ends once a scan after a
-finished polish at its lambda cuts nothing, as the state is then exact and no
-subgradient breaks its bound, or once a round returns to runs the level has
-held: rounds are deterministic, so that cycle would repeat forever (the lasso
-route ends its levels on a repeat too). A round's O(n) numpy work is the
-scan's double cumulative sum and the polish's mu; the rest is scalar work in
-proportion to the runs and the violations. The double cumulative sum depends
-on mu alone, so a level that ends on its rule hands the one its last scan
-took to the next level's first scan, which reads the same mu. The grid loop,
-the lam = 0 entry and the KKT certificate are ``kkt.certified_path``'s.
+exact, so no round evaluates the objective. In ``kkt.level``, as on the lasso
+route, a level ends on runs it has held, or once a scan after a polish at its
+lambda cuts nothing, as the state is then exact and no subgradient breaks its
+bound. A round's O(n) numpy work is the scan's double cumulative sum and the
+polish's mu; the rest is scalar work in proportion to the runs and the
+violations. The double cumulative sum depends on mu alone, so a level that
+ends on its rule hands the one its last scan took to the next level's first
+scan, which reads the same mu. The grid loop, the lam = 0 entry and the KKT
+certificate are ``kkt.certified_path``'s.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LambdaPath, TrendFit, finite_array
-from .kkt import ROUNDS_PER_POINT, affine_fit, certified_path
+from .kkt import affine_fit, certified_path, level, subgradient_times_lambda
 from .kkt import check_kkt, lambda_max  # noqa: F401  bench/spans.py patches these names here
 
 # The split scan cuts where |g| > lam * (1 + SPLIT_SLACK). The margin
@@ -138,7 +137,7 @@ def _split_scan(y, mu, S, lam, g=None):
     on mu alone) is the one the level above took on this mu. Moves nothing;
     returns (positions, signs), ascending lists, and g."""
     if g is None:
-        g = (y - mu).cumsum().cumsum()[:y.size - 2]  # g[p - 2] is lam times the subgradient at p
+        g = subgradient_times_lambda(y - mu)  # g[p - 2] is lam times the subgradient at p
     gabs = abs(g)
     over = (gabs > lam * (1.0 + SPLIT_SLACK)).nonzero()[0]
     m = gabs[over].tolist()
@@ -158,11 +157,11 @@ def _walk(a, alpha, signs, sums, lam, n):
     pass, which forms its run ends and boundary terms itself) and moves
     alpha toward it by the least step at which a boundary whose sign the
     full step would flip reaches zero (0 for one already past it); every
-    boundary closing at that step merges its two runs. Ends on a full step
-    within len(a) + 8 steps. Lists throughout; ``sums`` is ``_prefix_sums``
-    of the series. Returns (a, alpha, full step)."""
+    boundary closing at that step merges its two runs, so the walk ends on a
+    full step within len(a) steps (an unpenalised boundary is never hit).
+    Lists throughout (``sums`` is ``_prefix_sums`` of y); returns (a, alpha)."""
     cs_y, cs_ty = sums
-    for _ in range(len(a) + 8):
+    while True:
         sol = _run_values(a, signs, cs_y, cs_ty, lam, n)
         d = [v - u for v, u in zip(sol, alpha)]
         theta, hit = 1.0, []  # hit: (boundary, step) where the full step flips the sign
@@ -174,57 +173,52 @@ def _walk(a, alpha, signs, sums, lam, n):
                 if tc < theta:
                     theta = tc
         if theta == 1.0:
-            return a, [u + v for u, v in zip(alpha, d)], True
+            return a, [u + v for u, v in zip(alpha, d)]
         alpha = [u + theta * v for u, v in zip(alpha, d)]
         closed = {k + 1 for k, tc in hit if tc == theta}
         keep = [g for g in range(len(a)) if g not in closed]
         signs = [signs[g - 1] for g in keep[1:]]
         a, alpha = [a[g] for g in keep], [alpha[g] for g in keep]
-    return a, alpha, False
 
 
 def _structure_polish(y, S, V, lam, sums, cuts, cut_signs):
-    """Exact run-value solve by ``_walk`` for the runs S, V split at index 1
-    and every cut (one O(G + cuts) merge), under frozen boundary signs: a
-    cut's own, else the sign of the slope step. A cut takes the slope of its
-    run; one whose step goes against its sign closes at step 0. No cut is
-    made at the unpenalised index 1, so a run fused across it would stay
-    fused. The move is taken untested. Returns ``_runs`` of the result and
-    whether the walk ended on a full step, the exact solve of its pattern.
-    ``sums`` is ``_prefix_sums(y)``, taken once per path."""
+    """Exact run-value solve by ``_walk`` for the runs S, V split at index 1 and
+    every cut (one O(G + cuts) merge), under frozen boundary signs: a cut's own,
+    else the sign of the slope step. A cut takes the slope of its run; one whose
+    step goes against its sign closes at step 0. No cut is made at the
+    unpenalised index 1, so a run fused across it would stay fused. The move is
+    taken untested. Returns ``_runs`` of the result, the exact solve of its
+    pattern; ``sums`` is ``_prefix_sums(y)``, taken once per path."""
     a = [0, *sorted({1, *S[1:], *cuts})]
     alpha = [V[bisect_right(S, p) - 1] for p in a]
     frozen = dict(zip(cuts, cut_signs))
     signs = [frozen.get(p, 0.0 if p < 2 or u1 == u0 else 1.0 if u1 > u0 else -1.0)
              for p, u0, u1 in zip(a[1:], alpha, alpha[1:])]
-    a, alpha, full = _walk(a, alpha, signs, sums, lam, y.size)
-    return (*_runs(a, alpha, y.size), full)
+    return _runs(*_walk(a, alpha, signs, sums, lam, y.size), y.size)
 
 
 def _solve_at(y, S, V, mu, lam, sums, g=None):
-    """Rounds of split scan (chooses cuts) and structure polish (splits the
-    runs at them, solves every run value, merges runs) at a fixed lambda from
-    the runs S, V and their mu; returns them with ok and a scan seed. ok is
-    True once a scan after a finished polish at this lambda chooses no cut,
-    or once a round starts on runs the level has held: a round is a function
-    of them, so the cycle would repeat forever. False after
-    ``kkt.ROUNDS_PER_POINT * n`` rounds. A level that ends on its rule seeds
-    the next level's first scan with the g of its last scan, taken on the mu
-    it returns; else None."""
-    seen, finished = set(), False
-    for _ in range(ROUNDS_PER_POINT * y.size):
-        # a 64-bit hash of the runs, the slopes by their bytes (the float hash
-        # equates -0.0 and 0.0): a false repeat needs a collision
-        state = hash((*S, np.array(V).tobytes()))
-        if state in seen:
-            return S, V, mu, True, None
-        seen.add(state)
+    """One level at a fixed lambda from the runs S, V and their mu, in
+    ``kkt.level``, whose state is the runs, slopes by their bytes (the float
+    hash equates -0.0 and 0.0). A round's split scan chooses cuts; the level
+    ends if a polish has run at this lambda and the scan chose none, else a
+    structure polish splits the runs at them, solves every run value and
+    merges runs. Returns the runs, mu, the level's verdict and, if it ended on
+    its rule, its last scan's g, taken on that mu, to seed the next level's
+    first scan; else None."""
+    polished = False
+
+    def step():
+        nonlocal S, V, mu, g, polished
         cuts, cut_signs, g = _split_scan(y, mu, S, lam, g)
-        if finished and not cuts:
-            return S, V, mu, True, g
-        S, V, mu, finished = _structure_polish(y, S, V, lam, sums, cuts, cut_signs)
-        g = None
-    return S, V, mu, False, None
+        if polished and not cuts:
+            return True
+        S, V, mu = _structure_polish(y, S, V, lam, sums, cuts, cut_signs)
+        g, polished = None, True
+        return False
+
+    ok = level(lambda: (*S, np.array(V).tobytes()), step, y.size)
+    return S, V, mu, ok, g
 
 
 def fit(y, lam: float, opts: PathwiseOptions | None = None) -> TrendFit:
@@ -236,9 +230,8 @@ def fit_path(y, lambda_grid) -> LambdaPath:
     """Fit every lambda on a strictly increasing grid through
     ``kkt.certified_path``, starting from the affine least-squares fit (exact
     at and above lambda_max) and warm-starting each level from the next larger
-    one. A level's own verdict is that it met the stopping rule within
-    ``kkt.ROUNDS_PER_POINT * n`` rounds, the lasso route's cap too; the path
-    continues past a level that did not.
+    one. A level's own verdict is ``kkt.level``'s, as on the lasso route; the
+    path continues past a level that stopped at its round cap.
     """
     yv = finite_array(y)
     line = affine_fit(yv)

@@ -335,11 +335,6 @@ class ExperimentResult:
     aggregate: dict = field(default_factory=dict)
 
 
-def _worker(args) -> MetricsRow:
-    config, rep = args
-    return run_replication(config, rep)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """All replications, aggregated. Output is independent of ``workers``:
     replications are seeded individually and aggregated in replication order."""
@@ -350,7 +345,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, [(config, r) for r in reps]))
+            rows = list(pool.map(run_replication, [config] * len(reps), reps))
     else:
         rows = [run_replication(config, r) for r in reps]
     rows.sort(key=lambda m: m.rep)

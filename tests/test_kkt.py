@@ -9,11 +9,13 @@ from trendfilter import lasso, pathwise
 from trendfilter.core import TimeSeries, extract_kinks, objective_value
 from trendfilter.design import second_diff, second_diff_adjoint
 from trendfilter.kkt import (
+    ROUNDS_PER_POINT,
     SIGN_SLACK,
     affine_fit,
     certified_path,
     check_kkt,
     lambda_max,
+    level,
     oracle_solve,
     subgradient_times_lambda,
 )
@@ -190,6 +192,38 @@ class TestCertifiedPath:
         assert [e.warm_start for e in path.entries] == [False, True, True, False]
         assert np.array_equal(path.entries[0].fit.mu_hat, y)
         assert {e.fit.solver for e in path.entries} == {"stub"}
+
+
+class TestLevel:
+    """The one level loop of both certified routes, on stub rounds: a state
+    is a counter, and ``step`` moves it by a rule the test sets."""
+
+    @staticmethod
+    def _run(move, ends_at=None, n=3):
+        states, steps = [0], []
+
+        def step():
+            steps.append(states[-1])
+            if states[-1] == ends_at:
+                return True
+            states.append(move(states[-1]))
+            return False
+
+        return level(lambda: (states[-1],), step, n), steps
+
+    def test_rule_exit(self):
+        ok, steps = self._run(lambda s: s + 1, ends_at=4)
+        assert ok and steps == [0, 1, 2, 3, 4]
+
+    def test_repeat_exit_does_not_step_the_repeated_state(self):
+        # states 0, 1, 2, 3, 1: the level ends on the second 1, unstepped
+        ok, steps = self._run(lambda s: s + 1 if s < 3 else 1)
+        assert ok and steps == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_cap_exit_after_rounds_per_point_times_n_steps(self, n):
+        ok, steps = self._run(lambda s: s + 1, n=n)
+        assert ok is False and steps == list(range(ROUNDS_PER_POINT * n))
 
 
 @st.composite

@@ -8,7 +8,7 @@ import warnings
 from trendfilter.core import TrendFit, extract_kinks, objective_value
 from trendfilter.design import DesignZ, InvalidDimensionError, second_diff
 from trendfilter.kkt import affine_fit, certified_path, check_kkt, lambda_max, oracle_solve
-from trendfilter import lasso, pathwise
+from trendfilter import kkt, lasso, pathwise
 from trendfilter.lasso import (LassoProblem, _admit, _block_ls_step, _cd_pass, _converge_active,
                                active_set_polish, budget_path, fit, fit_path)
 from trendfilter.selection import default_grid, select
@@ -654,7 +654,7 @@ def _vector_polish(prob, beta):
         return True
     seen = set()
     converged = False
-    for _ in range(lasso.ROUNDS_PER_POINT * prob.n):
+    for _ in range(kkt.ROUNDS_PER_POINT * prob.n):
         _converge_active(prob, beta, np.flatnonzero(beta[2:]) + 2)
         state = hash(beta.tobytes())
         r = prob.y - prob.Z.matvec(beta)

@@ -242,10 +242,9 @@ class TestReferenceEquivalence:
             for rnd in range(3):
                 cuts, signs, _ = _split_scan(y, mu, S, lam)
                 nu, r = _nu(S, V, y.size), y - mu
-                S, V, mu, got = _structure_polish(y, S, V, lam, _prefix_sums(y), cuts, signs)
+                S, V, mu = _structure_polish(y, S, V, lam, _prefix_sums(y), cuts, signs)
                 moved += not _same_bits(_nu(S, V, y.size), nu)
-                want = _reference_polish(y, nu, r, lam, cuts, signs)
-                assert got is want is True, (k, rnd)
+                assert _reference_polish(y, nu, r, lam, cuts, signs) is True, (k, rnd)
                 assert S == _runs_of(nu).tolist() and _same_bits(V, nu[S]), (k, rnd)
                 assert _same_bits(mu, np.cumsum(nu)) and _same_bits(y - mu, r), (k, rnd)
                 cut += len(cuts) > 0
@@ -268,13 +267,12 @@ class TestReferenceEquivalence:
 
         monkeypatch.setattr(pathwise, "_run_values", run_values)
         S, V, _ = _level(nu)
-        S, V, mu, got = _structure_polish(y, S, V, 0.1, _prefix_sums(y), [], [])
+        S, V, mu = _structure_polish(y, S, V, 0.1, _prefix_sums(y), [], [])
         walk, calls[:] = list(calls), []
         ref = FusedState(y=y, nu=nu.copy())
-        want = _reference_polish(y, ref.nu, ref.resid, 0.1, [], [])
+        assert _reference_polish(y, ref.nu, ref.resid, 0.1, [], []) is True
         assert walk == calls
         assert [a for a, _ in walk] == [[0, 1, 3, 5, 7, 9], [0, 1, 5, 9]]
-        assert got == want
         assert _same_bits(_nu(S, V, y.size), ref.nu) and _same_bits(y - mu, ref.resid)
 
 
@@ -297,7 +295,7 @@ def _array_split_scan(y, nu, r, lam):
 def _array_polish(y, nu, r, lam, sums, cuts, cut_signs):
     """The structure polish on the n-vector nu: the run starts, index 1 and
     the cuts merged through a boolean start mask, then ``_walk``; nu and r
-    are written in place."""
+    are written in place; the walk ends on a full step."""
     n = y.size
     start = np.zeros(n, dtype=bool)
     start[_runs_of(nu)] = True
@@ -307,10 +305,9 @@ def _array_polish(y, nu, r, lam, sums, cuts, cut_signs):
     alpha = nu[a]
     signs = np.where(a[1:] >= 2, np.sign(alpha[1:] - alpha[:-1]), 0.0)
     signs[np.searchsorted(a, cuts) - 1] = cut_signs
-    a, alpha, full = _walk(a.tolist(), alpha.tolist(), signs.tolist(), sums, lam, n)
+    a, alpha = _walk(a.tolist(), alpha.tolist(), signs.tolist(), sums, lam, n)
     nu[:] = np.repeat(alpha, np.diff(a, append=n))
     r[:] = y - np.cumsum(nu)
-    return full
 
 
 def _array_fit_path(y, grid, scans, repeats):
@@ -324,10 +321,10 @@ def _array_fit_path(y, grid, scans, repeats):
     sums = _prefix_sums(y)
 
     def level(lam):
-        seen, finished = set(), False
+        seen, polished = set(), False
         scans.append(0)
         repeats.append(False)
-        for _ in range(pathwise.ROUNDS_PER_POINT * y.size):
+        for _ in range(kkt.ROUNDS_PER_POINT * y.size):
             state = hash(nu.tobytes())
             if state in seen:
                 repeats[-1] = True
@@ -335,9 +332,10 @@ def _array_fit_path(y, grid, scans, repeats):
             seen.add(state)
             cuts, cut_signs = _array_split_scan(y, nu, r, lam)
             scans[-1] += 1
-            if finished and cuts.size == 0:
+            if polished and cuts.size == 0:
                 return np.cumsum(nu), True
-            finished = _array_polish(y, nu, r, lam, sums, cuts, cut_signs)
+            _array_polish(y, nu, r, lam, sums, cuts, cut_signs)
+            polished = True
         return np.cumsum(nu), False
 
     return kkt.certified_path(y, grid, level, "pathwise")
@@ -578,11 +576,10 @@ class TestFitPath:
         assert entry.kkt.passed and entry.fit.converged
 
     @staticmethod
-    def _record_levels(monkeypatch, polish_reports=None):
+    def _record_levels(monkeypatch):
         """Patch the level's moves to log, per level, ("scan", (run starts, mu
-        bytes), cut count) and ("polish", reported), and each level's (lam, S,
-        V, mu) at exit. ``polish_reports``, if given, replaces what the polish
-        reports."""
+        bytes), cut count) and ("polish",), and each level's (lam, S, V, mu) at
+        exit."""
         levels, exits = [], []
         split_scan, polish, solve_at = (pathwise._split_scan, pathwise._structure_polish,
                                         pathwise._solve_at)
@@ -593,9 +590,8 @@ class TestFitPath:
             return cuts, signs, g
 
         def logged_polish(*args):
-            *state, finished = polish(*args)
-            levels[-1].append(("polish", finished))
-            return (*state, finished if polish_reports is None else polish_reports)
+            levels[-1].append(("polish",))
+            return polish(*args)
 
         def solve(y, S, V, mu, lam, *args):
             levels.append([])
@@ -609,39 +605,23 @@ class TestFitPath:
         return levels, exits
 
     def test_levels_end_on_the_scan_after_a_finished_polish(self, monkeypatch):
-        # a finished polish leaves the exact solve of its run pattern, so a
-        # scan that then chooses no cut ends the level; one more polish of
-        # that pattern used to end every level, and moved nothing beyond
-        # round-off
+        # a polish's walk ends on a full step, the exact solve of its run
+        # pattern, so a scan that then chooses no cut ends the level; one more
+        # polish of that pattern used to end every level, and moved nothing
+        # beyond round-off
         y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
         levels, exits = self._record_levels(monkeypatch)
         path = fit_path(y, default_grid(lambda_max(y)))
         by_rule = [k for k, ev in enumerate(levels)
-                   if ev[-1][0] == "scan" and ev[-1][2] == 0 and ev[-2] == ("polish", True)]
+                   if ev[-1][0] == "scan" and ev[-1][2] == 0 and ev[-2] == ("polish",)]
         assert len(levels) == 60 and len(by_rule) >= 55, by_rule
         scale = 1 + np.max(np.abs(y))
         for k in by_rule:
             kinds = [e[0] for e in levels[k]]
             assert kinds.count("scan") == kinds.count("polish") + 1, k
             lam, S, V, mu = exits[k]
-            *_, again, finished = _structure_polish(y, S, V, lam, _prefix_sums(y), [], [])
-            assert finished, k
+            *_, again = _structure_polish(y, S, V, lam, _prefix_sums(y), [], [])
             assert np.max(np.abs(again - mu)) <= 1e-14 * scale, k
-        for i, entry in enumerate(path.entries):
-            assert entry.kkt.passed and entry.fit.converged, i
-
-    def test_unfinished_polish_does_not_end_its_level(self, monkeypatch):
-        # a polish whose walk did not reach a full step leaves a state that is
-        # not the exact solve of its pattern: the next scan that chooses no
-        # cut is followed by another polish, and here every level ends on a
-        # state it has held
-        y = add_noise(gen_trend(example2(n=300)), NoiseSpec(snr=400.0, seed=3)).y
-        levels, exits = self._record_levels(monkeypatch, polish_reports=False)
-        path = fit_path(y, default_grid(lambda_max(y)))
-        assert len(levels) == 60
-        for k, (ev, (_, S, _, mu)) in enumerate(zip(levels, exits)):
-            assert ev[-1][0] == "polish", k
-            assert (tuple(S), mu.tobytes()) in {e[1] for e in ev if e[0] == "scan"}, k
         for i, entry in enumerate(path.entries):
             assert entry.kkt.passed and entry.fit.converged, i
 
@@ -938,22 +918,33 @@ def _walk_pattern(rng, G):
 
 
 class TestWalk:
-    """The sign-restricted walk both routes share, against the numpy walk."""
+    """The sign-restricted walk both routes share, against the numpy walk.
+    A partial step closes the boundary that set it, so a walk ends on a full
+    step within len(a) kernel calls."""
 
     @staticmethod
     def _same(got, want):
-        return (list(got[0]) == want[0].tolist() and np.array(got[1]).tobytes() == want[1].tobytes()
-                and got[2] is want[2])
+        return (want[2] is True and list(got[0]) == want[0].tolist()
+                and np.array(got[1]).tobytes() == want[1].tobytes())
 
     @pytest.mark.parametrize("G", [2, 3, 7, 20, 100, 800, 1200])
-    def test_bitwise_equal_to_the_numpy_walk(self, G):
+    def test_bitwise_equal_to_the_numpy_walk(self, monkeypatch, G):
         rng = np.random.default_rng(G)
+        calls, run_values = [0], pathwise._run_values
+
+        def counting_run_values(*args):
+            calls[0] += 1
+            return run_values(*args)
+
         merged = 0
         for case in range(12 if G < 800 else 3):
             args = _walk_pattern(rng, G)
-            got, want = _walk(*args), _numpy_walk(*args)
-            assert self._same(got, want), case
-            assert got[2] and type(got[1]) is list
+            monkeypatch.setattr(pathwise, "_run_values", counting_run_values)
+            calls[0] = 0
+            got = _walk(*args)
+            monkeypatch.setattr(pathwise, "_run_values", run_values)
+            assert self._same(got, _numpy_walk(*args)), case
+            assert 1 <= calls[0] <= G and type(got[1]) is list, case
             merged += len(got[0]) < G
         assert G < 7 or merged >= 2
 
@@ -984,6 +975,7 @@ class TestWalk:
             got = _walk(*args)
             walk, sizes[:] = list(sizes), []
             assert self._same(got, _numpy_walk(*args)) and walk == sizes, case
+            assert len(walk) <= G, case
             tied += any(q - p >= 2 for q, p in zip(walk, walk[1:]))
         assert G < 7 or tied >= 1
 
